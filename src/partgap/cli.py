@@ -132,12 +132,13 @@ def _check_outcome(name: str, mismatches: list[str], cells: int) -> int:
 
 def cmd_pn(args) -> int:
     table = _acquire_table(args, max(args.n, 1))
-    print(table.values[args.n])
+    value = table.p(args.n)
+    print(value)
     if args.estimate:
         if args.n < 1:
             raise ValueError("--estimate needs n >= 1")
         est = hardy_ramanujan_estimate(args.n)
-        ratio = est / table.values[args.n]
+        ratio = est / value
         print("estimate=%.6g ratio=%.6g" % (est, ratio))
     if args.export:
         with open(args.export, "w", encoding="ascii") as fh:
@@ -298,6 +299,8 @@ def cmd_s_check(args) -> int:
         lo = hi = args.n
     else:
         lo, hi = args.range
+        if lo > hi:
+            raise ValueError("--range needs LO <= HI, got %d %d" % (lo, hi))
     table = _acquire_table(args, max(hi, 1))
     statuses = witnesses.coverage_scan(table, lo, hi)
     uncovered = 0

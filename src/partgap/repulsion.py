@@ -10,20 +10,24 @@ Central quantities, all relative to a finite table p(0..n_max):
 
 Everything is a finite-range computation: results are exact for the
 given n_max and agree with the idealized (all-n) quantities only as
-verified lower bounds.  The expensive unit of work is one exact root
-per (n, k) pair; distance series and the near-power event sweep exist
-so that work is paid once and shared by every table, figure, and N_d
-query built on top.
+verified lower bounds.  The expensive unit of work is an exact root.
+A distance series takes one per n for a single k; the near-power event
+sweep takes one per (n, k) pair only for small k, and for large k lists
+the few k-th powers below p(n_max) and bisects the table for p(n) near
+them (``_near_power_events_oracle`` keeps the plain per-pair loop for
+cross-checks).  Either way the work is paid once and shared by every
+table, figure, and N_d query built on top.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable
-from .roots import nearest_power_distance
+from .roots import floor_kth_root, nearest_power_distance
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8, 50, 100)
 DEFAULT_EXPONENTS = tuple(range(0, 71))
@@ -279,13 +283,12 @@ class EventSet:
     events: tuple[NearPowerEvent, ...]
 
 
-def near_power_events(
+def _near_power_events_oracle(
     table: PartitionTable, d_cap: int, n_max: int | None = None
 ) -> EventSet:
-    """One sweep over (n, k): the only expensive step of the n_d family.
-
-    Costs one exact root per pair, about n_max * log2(p(n_max)) / 2 of
-    them; the result answers every d <= d_cap afterwards.
+    """Reference sweep for :func:`near_power_events`: one exact root per
+    (n, k) pair below the freeze bound, about n_max * log2(p(n_max)) / 2
+    of them.  Kept for cross-checks only; never feeds production paths.
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
@@ -298,6 +301,62 @@ def near_power_events(
             dist = nearest_power_distance(v, k)[1]
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
+    return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events))
+
+
+def _power_neighbours(
+    values: Sequence[int], k: int, d_cap: int, lo: int, hi: int, bases: int
+) -> Iterator[int]:
+    # Each n in lo..hi with p(n) within d_cap of some y^k, y = 1..bases,
+    # ascending and once: the windows rise with y, so each one starts
+    # where the previous one ended.
+    for y in range(1, bases + 1):
+        power = y ** k
+        start = bisect.bisect_left(values, power - d_cap, lo, hi + 1)
+        lo = bisect.bisect_right(values, power + d_cap, start, hi + 1)
+        yield from range(start, lo)
+
+
+def near_power_events(
+    table: PartitionTable, d_cap: int, n_max: int | None = None
+) -> EventSet:
+    """One sweep over (n, k): the only expensive step of the n_d family.
+
+    Runs per k.  The n with k below their freeze bound are those with
+    p(n) > 2^(k-1), a suffix of the table found by bisection.  A p(n)
+    within d_cap of a k-th power is within d_cap of some y^k with
+    1 <= y <= Y = floor((p(n_max) + d_cap)^(1/k)), so two regimes give
+    the same events:
+
+    * small k (Y at least the suffix length): one exact root per p(n),
+      as in :func:`_near_power_events_oracle`;
+    * large k: list y^k for y = 1..Y, bisect the suffix for p(n) within
+      d_cap of each, and take exact roots of those candidates only.
+
+    Each n is examined at most once per k, so no d_cap costs more roots
+    than the oracle (plus one per k for Y).  At n_max 25000 the large k
+    cover most pairs and the small-k roots dominate.  The result lists
+    events in (n, k) order and answers every d <= d_cap afterwards.
+    """
+    if d_cap < 0:
+        raise ValueError("d_cap must be >= 0, got %d" % d_cap)
+    hi = _effective_n_max(table, n_max)
+    values = table.values
+    top = values[hi]
+    events: list[NearPowerEvent] = []
+    for k in range(2, (2 * top - 1).bit_length()):
+        # k < freeze bound (2 p(n) - 1).bit_length()  <=>  p(n) > 2^(k-1)
+        first = bisect.bisect_right(values, 1 << (k - 1), 2, hi + 1)
+        bases = floor_kth_root(top + d_cap, k).root
+        if bases >= hi + 1 - first:
+            candidates = range(first, hi + 1)
+        else:
+            candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
+        for n in candidates:
+            dist = nearest_power_distance(values[n], k)[1]
+            if dist <= d_cap:
+                events.append(NearPowerEvent(n=n, k=k, distance=dist))
+    events.sort()  # per-k order to (n, k) order
     return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events))
 
 
@@ -371,28 +430,42 @@ def n_d_intervals(
 ) -> list[tuple[int, int, int]]:
     """Maximal runs (d_lo, d_hi, N) with n_d constant, covering 0..d_max.
 
-    n_d can only change where limit_L jumps (d = p(n) - 1 for some n)
-    or where an event activates (d = its distance), so evaluating at
-    those critical thresholds and merging equal neighbors is exact.
+    An event (n, k, distance) applies at d exactly when distance <= d
+    <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
+    more than the largest k applying there, or 2.  So n_d can change
+    only at an interval's start or one past its end, and one sweep over
+    those points, with a max-heap of the applying k, yields the runs.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0, got %d" % d_max)
     hi = _effective_n_max(table, n_max)
     ev = _require_events(table, d_max, hi, events)
-    critical = {0}
-    for n in range(2, hi + 1):
-        gap = table.values[n] - 1
-        if gap > d_max:
-            break
-        critical.add(gap)
-    for e in ev.events:
-        if e.distance <= d_max:
-            critical.add(e.distance)
+    # Thresholds from p(n_max) - 1 on are undecided by the table, and
+    # limit_L raises there.  With n_max below the table's, no event
+    # applies past p(n_max) - 2, so the last run is N = 2 and decided.
+    limit_L(table, min(d_max, table.values[hi] - 1))
+    spans = sorted(
+        (e.distance, e.k, table.values[e.n] - 2)
+        for e in ev.events
+        if e.distance <= min(d_max, table.values[e.n] - 2)
+    )
+    cuts = sorted(
+        {0}
+        | {start for start, _, _ in spans}
+        | {last + 1 for _, _, last in spans if last < d_max}
+    )
+    # heap of (-k, last d it applies at): the largest applying k on top
+    applying: list[tuple[int, int]] = []
     out: list[tuple[int, int, int]] = []
-    cuts = sorted(critical)
-    for i, lo in enumerate(cuts):
-        upper = cuts[i + 1] - 1 if i + 1 < len(cuts) else d_max
-        value = _n_d_from_events(table, lo, ev)
+    i = 0
+    for j, lo in enumerate(cuts):
+        while i < len(spans) and spans[i][0] <= lo:
+            heapq.heappush(applying, (-spans[i][1], spans[i][2]))
+            i += 1
+        while applying and applying[0][1] < lo:
+            heapq.heappop(applying)
+        value = 1 - applying[0][0] if applying else 2
+        upper = cuts[j + 1] - 1 if j + 1 < len(cuts) else d_max
         if out and out[-1][2] == value:
             out[-1] = (out[-1][0], upper, value)
         else:

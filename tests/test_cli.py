@@ -33,6 +33,14 @@ def test_pn_zero(capsys):
     assert out == "1\n"
 
 
+def test_pn_negative_is_usage_error(capsys):
+    for n in ("-1", "-3"):
+        code, out, err = run(capsys, "pn", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_pn_estimate(capsys):
     code, out, _ = run(capsys, "pn", "100", "--estimate")
     assert code == 0
@@ -210,6 +218,13 @@ def test_s_check_argument_exclusivity(capsys):
     assert code == 2
     code, _, err = run(capsys, "s-check", "5", "--range", "3", "9")
     assert code == 2
+
+
+def test_s_check_reversed_range(capsys):
+    code, out, err = run(capsys, "s-check", "--range", "5", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_missed(capsys):

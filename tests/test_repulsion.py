@@ -1,8 +1,14 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partgap.partitions import build_table, p1
 from partgap.repulsion import (
     DEFAULT_K_VALUES,
+    _n_d_from_events,
+    _near_power_events_oracle,
     delta_series,
     distance_samples,
     limit_L,
@@ -158,6 +164,47 @@ def test_events_complete_and_sound(table_small):
         assert delta_k(table_small, e.n, e.k).distance == e.distance
 
 
+cached_table = functools.lru_cache(maxsize=None)(build_table)
+
+
+@st.composite
+def sweep_cases(draw):
+    size = draw(st.integers(min_value=1, max_value=600))
+    n_max = draw(st.none() | st.integers(min_value=1, max_value=size))
+    top = cached_table(size).p(size if n_max is None else n_max)
+    d_cap = draw(
+        st.just(0)
+        | st.integers(min_value=1, max_value=10**6)
+        | st.integers(min_value=top, max_value=2 * top)
+    )
+    return size, n_max, d_cap
+
+
+@given(sweep_cases())
+@settings(max_examples=60, deadline=None)
+def test_events_match_oracle(case):
+    # small k take per-pair roots and large k enumerate powers at any
+    # d_cap; d_cap >= p(n_max) makes the power windows overlap, so each
+    # n must still be examined once per k
+    size, n_max, d_cap = case
+    table = cached_table(size)
+    assert near_power_events(table, d_cap, n_max) == _near_power_events_oracle(
+        table, d_cap, n_max
+    )
+
+
+def test_events_oracle_edges(table_small):
+    for d_cap in (0, 1, 10**9):
+        for n_max in (1, 2, 3, 120):
+            assert near_power_events(
+                table_small, d_cap, n_max
+            ) == _near_power_events_oracle(table_small, d_cap, n_max)
+    with pytest.raises(ValueError):
+        near_power_events(table_small, -1)
+    with pytest.raises(ValueError):
+        near_power_events(table_small, 0, n_max=121)
+
+
 def brute_n_d(table, d, n_max):
     # direct definition: largest k whose threshold exceeds the limit, plus 1
     limit = limit_L(table, d)
@@ -191,6 +238,39 @@ def test_n_d_batch_and_intervals():
     for lo, hi, v in intervals:
         assert n_d(table, lo, events=events) == v
         assert n_d(table, hi, events=events) == v
+
+
+def per_cut_intervals(table, d_max, n_max, events):
+    # n_d evaluated at every threshold where limit_L jumps or an event
+    # activates, equal neighbours merged
+    cuts = {0}
+    cuts.update(table.p(n) - 1 for n in range(2, n_max + 1))
+    cuts.update(e.distance for e in events.events)
+    cuts = sorted(c for c in cuts if c <= d_max)
+    out = []
+    for i, lo in enumerate(cuts):
+        upper = cuts[i + 1] - 1 if i + 1 < len(cuts) else d_max
+        value = _n_d_from_events(table, lo, events)
+        if out and out[-1][2] == value:
+            out[-1] = (out[-1][0], upper, value)
+        else:
+            out.append((lo, upper, value))
+    return out
+
+
+def test_n_d_intervals_match_per_cut_evaluation():
+    table = build_table(300)
+    for n_max in (300, 200, 60):
+        # up to the last decidable threshold p(n_max) - 2 at n_max 60
+        for d_max in (0, 1, 950, 10**6, min(10**9, table.p(n_max) - 2)):
+            events = near_power_events(table, d_max, n_max)
+            assert n_d_intervals(
+                table, d_max, n_max, events=events
+            ) == per_cut_intervals(table, d_max, n_max, events)
+    # past the table edge limit_L is undecided, so the runs are too
+    events = near_power_events(table, table.p(300))
+    with pytest.raises(ValueError):
+        n_d_intervals(table, table.p(300) - 1, events=events)
 
 
 def test_events_argument_validation(table_small):
