@@ -13,8 +13,10 @@ recurrence; it never feeds production paths.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, NamedTuple
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
 # this, but the value cache for n_max ~ 5M would need several GB; reject
@@ -195,10 +197,22 @@ def dump_values(table: PartitionTable, stream: IO[str]) -> None:
 
 
 def save_table(table: PartitionTable, path: str) -> None:
-    """Persist a table: first line n_max, then one value per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%d\n" % table.n_max)
-        dump_values(table, fh)
+    """Persist a table: first line n_max, then one value per line.
+
+    The table goes to a temporary file in the same directory, which is
+    then renamed over ``path``: an interrupted write never leaves a
+    truncated table under the final name.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix="." + name + ".", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write("%d\n" % table.n_max)
+            dump_values(table, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> PartitionTable:
@@ -213,8 +227,3 @@ def load_table(path: str) -> PartitionTable:
             % (path, n_max, len(vals))
         )
     return PartitionTable(values=vals, n_max=n_max)
-
-
-def values_from_lines(lines: Iterable[str]) -> tuple[int, ...]:
-    """Parse newline-delimited decimal values (blank lines ignored)."""
-    return tuple(int(line) for line in lines if line.strip())

@@ -225,14 +225,20 @@ def limit_L(table: PartitionTable, d: int) -> int:
     p(n) sits within d of the k-th power 1 for every k.  Requires
     d < p(n_max) - 1 so the maximum is attained inside the table.
     """
+    return _limit_L(table, d, table.n_max)
+
+
+def _limit_L(table: PartitionTable, d: int, hi: int) -> int:
+    # limit_L over p(0..hi) only: thresholds from p(hi) - 1 on are
+    # undecided by that range, whatever the table holds past it.
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
-    if d >= table.values[table.n_max] - 1:
+    if d >= table.values[hi] - 1:
         raise ValueError(
             "d=%d is not below p(n_max) - 1; extend the table" % d
         )
     # values[1:] is strictly increasing and p(n) <= d + 1 iff p(n) - 1 <= d
-    return bisect.bisect_right(table.values, d + 1, lo=1) - 1
+    return bisect.bisect_right(table.values, d + 1, 1, hi + 1) - 1
 
 
 @dataclass(frozen=True)
@@ -377,7 +383,7 @@ def _require_events(
 
 
 def _n_d_from_events(table: PartitionTable, d: int, events: EventSet) -> int:
-    limit = limit_L(table, d)
+    limit = _limit_L(table, d, events.n_max)
     worst = 1
     for ev in events.events:
         if ev.n > limit and ev.distance <= d and ev.k > worst:
@@ -399,7 +405,8 @@ def n_d(
     are exactly the recorded events; so N is one more than the largest
     event k at this d, or 2 when no event applies.  k at or above the
     freeze bound needs no check (see EventSet), which is what makes the
-    quantity finitely computable.
+    quantity finitely computable.  Raises ValueError for d >= p(n_max) - 1,
+    where limit_L over p(0..n_max) is undecided.
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
@@ -435,15 +442,15 @@ def n_d_intervals(
     more than the largest k applying there, or 2.  So n_d can change
     only at an interval's start or one past its end, and one sweep over
     those points, with a max-heap of the applying k, yields the runs.
+    Like n_d, raises ValueError once d_max reaches p(n_max) - 1, where
+    the range p(0..n_max) no longer decides limit_L, even when the table
+    itself extends further.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0, got %d" % d_max)
     hi = _effective_n_max(table, n_max)
+    _limit_L(table, d_max, hi)  # raises where the range stops deciding
     ev = _require_events(table, d_max, hi, events)
-    # Thresholds from p(n_max) - 1 on are undecided by the table, and
-    # limit_L raises there.  With n_max below the table's, no event
-    # applies past p(n_max) - 2, so the last run is N = 2 and decided.
-    limit_L(table, min(d_max, table.values[hi] - 1))
     spans = sorted(
         (e.distance, e.k, table.values[e.n] - 2)
         for e in ev.events
@@ -500,15 +507,3 @@ def distance_samples(
             )
         )
     return rows
-
-
-def small_threshold_table(
-    table: PartitionTable,
-    d_values: Sequence[int] = tuple(range(0, 7)),
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    n_max: int | None = None,
-    series: dict[int, Sequence[int]] | None = None,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """m_k_d rows at small literal thresholds (default d = 0..6), the
-    companion to the power-of-ten grid."""
-    return threshold_rows(table, tuple(d_values), k_values, n_max, series)

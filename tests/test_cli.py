@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import partgap.partitions
 from partgap.cli import main
 
 TABLE1_CSV = (
@@ -338,6 +341,43 @@ def test_cache_corrupt_file(capsys, tmp_path):
     code, _, err = run(capsys, "pn", "400", "--cache", str(tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_cache_interrupted_write_leaves_no_table(capsys, tmp_path, monkeypatch):
+    def dump_then_fail(table, stream):
+        stream.write("1\n1\n2\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(partgap.partitions, "dump_values", dump_then_fail)
+    code, out, err = run(capsys, "pn", "300", "--cache", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "pn", "300", "--cache", str(tmp_path))
+    assert code == 0
+    assert out == "9253082936723602\n"
+    assert os.listdir(tmp_path) == ["ptable_300.txt"]
+
+
+def test_cli_import_loads_stdlib_only():
+    # in a fresh interpreter, so that no third-party package imported by
+    # the test run itself can hide one imported by the package
+    src = os.path.dirname(os.path.dirname(partgap.partitions.__file__))
+    script = (
+        "import sys; before = set(sys.modules); import partgap.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.split() == ["partgap"]
 
 
 def test_usage_errors(capsys):

@@ -17,7 +17,6 @@ from partgap.partitions import (
     p1,
     psi,
     save_table,
-    values_from_lines,
 )
 
 FIRST_VALUES = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -148,11 +147,6 @@ def test_load_rejects_truncated(tmp_path):
     path.write_text("10\n1\n1\n2\n")
     with pytest.raises(ValueError):
         load_table(path)
-
-
-def test_values_from_lines_rejects_garbage():
-    with pytest.raises(ValueError):
-        values_from_lines(["2", "1", "x", "2"])
 
 
 def test_dump_values(table_small):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from partgap.partitions import build_table, p1
 from partgap.repulsion import (
-    DEFAULT_K_VALUES,
     _n_d_from_events,
     _near_power_events_oracle,
     delta_series,
@@ -18,7 +17,6 @@ from partgap.repulsion import (
     n_d_batch,
     n_d_intervals,
     near_power_events,
-    small_threshold_table,
     stabilization_threshold,
     threshold_rows,
 )
@@ -262,7 +260,8 @@ def test_n_d_intervals_match_per_cut_evaluation():
     table = build_table(300)
     for n_max in (300, 200, 60):
         # up to the last decidable threshold p(n_max) - 2 at n_max 60
-        for d_max in (0, 1, 950, 10**6, min(10**9, table.p(n_max) - 2)):
+        edge = table.p(n_max) - 2
+        for d_max in (0, 1, 950, min(10**6, edge), min(10**9, edge)):
             events = near_power_events(table, d_max, n_max)
             assert n_d_intervals(
                 table, d_max, n_max, events=events
@@ -271,6 +270,25 @@ def test_n_d_intervals_match_per_cut_evaluation():
     events = near_power_events(table, table.p(300))
     with pytest.raises(ValueError):
         n_d_intervals(table, table.p(300) - 1, events=events)
+
+
+def test_n_d_family_undecided_past_explicit_n_max():
+    # A 300-entry table asked about n_max 200 decides exactly what a
+    # 200-entry table decides: nothing from p(200) - 1 on.
+    table, exact = build_table(300), build_table(200)
+    edge = exact.p(200) - 1
+    events = near_power_events(table, edge + 5, 200)
+    for t in (table, exact):
+        for d in (edge, edge + 5):
+            with pytest.raises(ValueError, match="not below p"):
+                n_d_intervals(t, d, 200, events=events)
+            with pytest.raises(ValueError, match="not below p"):
+                n_d(t, d, 200, events=events)
+            with pytest.raises(ValueError, match="not below p"):
+                n_d_batch(t, (0, d), 200, events=events)
+    assert n_d_intervals(table, edge - 1, 200, events=events) == n_d_intervals(
+        exact, edge - 1, events=events
+    )
 
 
 def test_events_argument_validation(table_small):
@@ -291,12 +309,6 @@ def test_distance_samples(table_small):
         assert row.distances == tuple(
             delta_k(table_small, row.n, k).distance for k in (2, 3, 4)
         )
-
-
-def test_small_threshold_table(table_small):
-    rows = small_threshold_table(table_small, n_max=120)
-    assert [d for d, _ in rows] == list(range(0, 7))
-    assert all(len(cells) == len(DEFAULT_K_VALUES) for _, cells in rows)
 
 
 def test_spot_values_at_full_size(table25k, deltas25k):
