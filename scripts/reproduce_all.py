@@ -2,38 +2,22 @@
 """Regenerate every shipped table and data series, then diff against
 the frozen reference values.
 
-Writes CSV files into --out and prints one OK/MISMATCH line per
-artifact.  The full run (including the d-run decomposition, which
-needs one near-power sweep over all (n, k) pairs) takes about a
-minute; --quick skips that sweep.
+Computes each artifact of ``partgap.artifacts.REGISTRY`` off one shared
+set of sweeps (a distance series per k, one near-power event sweep),
+writes it as CSV into --out and prints one OK/MISMATCH line per
+artifact, plus one for the refit of the k = 50 model.  Exits 1 when
+anything differs from the reference.
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
-from partgap import reference
+from partgap import artifacts, reference
 from partgap.fitting import evaluate, fit_grid_series
 from partgap.partitions import build_table
-from partgap.repulsion import (
-    delta_series,
-    distance_samples,
-    mk_grid,
-    n_d_intervals,
-    near_power_events,
-    threshold_rows,
-)
-
-FIGURE_K = (2, 3, 4, 5, 6, 7, 8, 50)
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+from partgap.repulsion import DEFAULT_EXPONENTS, mk_grid
 
 
 def report(name, ok):
@@ -41,12 +25,11 @@ def report(name, ok):
     return ok
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="reproduction", help="output directory")
     ap.add_argument("--n-max", type=int, default=25000)
-    ap.add_argument("--quick", action="store_true", help="skip the d-run sweep")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -54,64 +37,22 @@ def main():
 
     table = build_table(args.n_max)
     print("built p(0..%d) in %.1fs" % (args.n_max, time.time() - t0))
-    series = {
-        k: delta_series(table, k, args.n_max)
-        for k in reference.REFERENCE_K_VALUES
-    }
-    print("distance series ready at %.1fs" % (time.time() - t0))
+    shared = artifacts.Shared()
     all_ok = True
+    for artifact in artifacts.REGISTRY:
+        rows = artifact.compute(table, args.n_max, shared)
+        with open(out / ("%s.csv" % artifact.name.replace("-", "_")), "w", newline="") as fh:
+            artifacts.write_csv(fh, artifact.header, rows)
+        mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
+        all_ok &= report(artifact.name, not mismatches)
 
-    rows = distance_samples(table)
-    write_csv(
-        out / "table1.csv",
-        ["n", "p", "k2", "k3", "k4"],
-        [[r.n, r.p, *r.distances] for r in rows],
-    )
-    got = [(r.n, r.distances) for r in rows]
-    all_ok &= report("table1", got == list(reference.TABLE1))
-
-    for name, ref in (("table2", reference.TABLE2), ("table3", reference.TABLE3)):
-        d_values = tuple(d for d, _ in ref)
-        got = threshold_rows(
-            table, d_values, reference.REFERENCE_K_VALUES, args.n_max, series=series
-        )
-        write_csv(
-            out / ("%s.csv" % name),
-            ["d", *["k%d" % k for k in reference.REFERENCE_K_VALUES]],
-            [[d, *cells] for d, cells in got],
-        )
-        all_ok &= report(name, got == list(ref))
-
-    grid = mk_grid(table, FIGURE_K, range(0, 71), args.n_max, series=series)
-    write_csv(
-        out / "figure_data.csv",
-        ["i", *["k%d" % k for k in FIGURE_K]],
-        [
-            [i, *(grid.series(k)[idx] for k in FIGURE_K)]
-            for idx, i in enumerate(grid.d_exponents)
-        ],
-    )
-    fig_ok = all(
-        grid.series(k) == reference.FIGURE_SERIES[k] for k in FIGURE_K
-    )
-    all_ok &= report("figure-data", fig_ok)
-
+    series = shared.series(table, (50,), args.n_max)
+    grid = mk_grid(table, (50,), DEFAULT_EXPONENTS, args.n_max, series=series)
     refit = fit_grid_series(grid, 50, 5)
     anchors_ok = all(
         abs(evaluate(refit, d) - m) <= 0.10 * m for d, m in reference.FIT_ANCHORS
     )
     all_ok &= report("fit-k50", anchors_ok)
-
-    if not args.quick:
-        d_top = reference.TABLE4_INTERVALS[-1][1]
-        events = near_power_events(table, d_top, args.n_max)
-        print(
-            "near-power sweep: %d events at %.1fs"
-            % (len(events.events), time.time() - t0)
-        )
-        intervals = n_d_intervals(table, d_top, args.n_max, events)
-        write_csv(out / "table4.csv", ["d_lo", "d_hi", "n_d"], intervals)
-        all_ok &= report("table4", intervals == list(reference.TABLE4_INTERVALS))
 
     print("total %.1fs, outputs in %s" % (time.time() - t0, out))
     return 0 if all_ok else 1

@@ -11,14 +11,13 @@ failed (reference mismatch, uncovered index, counterexample found),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
 from typing import Sequence
 
-from . import fitting, reference, repulsion, witnesses
+from . import artifacts, fitting, reference, repulsion, witnesses
 from .partitions import (
     PartitionTable,
     build_table,
@@ -54,7 +53,13 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
                 candidates.append(int(m.group(1)))
     if candidates:
         path = os.path.join(directory, "ptable_%d.txt" % min(candidates))
-        return load_table(path)
+        table = load_table(path)
+        if table.n_max != min(candidates):
+            raise ValueError(
+                "cache file %s: file name says n_max=%d but header says %d"
+                % (path, min(candidates), table.n_max)
+            )
+        return table
     table = build_table(n_max)
     os.makedirs(directory, exist_ok=True)
     save_table(table, os.path.join(directory, "ptable_%d.txt" % n_max))
@@ -97,15 +102,9 @@ def _parse_threshold(text: str) -> int:
         raise ValueError("bad threshold %r (use an integer or 10^i)" % text)
 
 
-def _emit_csv(header: Sequence[str], rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_table(args, header: list[str], rows: list[list], json_obj) -> None:
+def _emit_table(args, header: Sequence[str], rows: list[list], json_obj) -> None:
     if args.format == "csv":
-        _emit_csv(header, rows)
+        artifacts.write_csv(sys.stdout, header, rows)
     elif args.format == "json":
         print(json.dumps(json_obj, indent=2))
     else:
@@ -118,13 +117,24 @@ def _emit_table(args, header: list[str], rows: list[list], json_obj) -> None:
             print("  ".join(str(c).rjust(w) for c, w in zip(r, widths)))
 
 
-def _check_outcome(name: str, mismatches: list[str], cells: int) -> int:
+def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
+    mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
     if mismatches:
         for line in mismatches:
             print("MISMATCH %s" % line)
-        print("%s: FAILED (%d mismatches)" % (name, len(mismatches)))
+        print("%s: FAILED (%d mismatches)" % (artifact.name, len(mismatches)))
         return 1
-    print("%s: OK (%d cells)" % (name, cells))
+    print("%s: OK (%d cells)" % (artifact.name, len(artifact.want)))
+    return 0
+
+
+def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
+    """Compute an artifact's rows, then check them or print them
+    (``json_of(rows)`` is the object ``--format json`` prints)."""
+    rows = artifact.compute(_acquire_table(args, n_max), n_max, None)
+    if args.check:
+        return _check_outcome(artifact, rows)
+    _emit_table(args, artifact.header, rows, json_of(rows))
     return 0
 
 
@@ -164,81 +174,39 @@ def cmd_delta(args) -> int:
 # ------------------------------------------------------------ tables
 
 def cmd_table1(args) -> int:
-    table = _acquire_table(args, 50)
-    rows = repulsion.distance_samples(table)
-    if args.check:
-        mism = []
-        for row, (n, expect) in zip(rows, reference.TABLE1):
-            if row.n != n or row.distances != expect:
-                mism.append("n=%d got %r want %r" % (row.n, row.distances, expect))
-        return _check_outcome("table1", mism, 15)
-    header = ["n", "p", "k2", "k3", "k4"]
-    out = [[r.n, r.p, *r.distances] for r in rows]
-    _emit_table(args, header, out, {"rows": out, "columns": header})
-    return 0
+    columns = artifacts.TABLE1.header
+    return _run_artifact(
+        args, artifacts.TABLE1, 50, lambda rows: {"rows": rows, "columns": columns}
+    )
 
 
-def _threshold_table(args, d_values, expect, name, cells) -> int:
-    table = _acquire_table(args, args.n_max)
-    rows = repulsion.threshold_rows(
-        table, d_values, reference.REFERENCE_K_VALUES, args.n_max
-    )
-    if args.check:
-        mism = []
-        for (d, got), (d2, want) in zip(rows, expect):
-            if d != d2 or got != want:
-                mism.append("d=%d got %r want %r" % (d, got, want))
-        return _check_outcome(name, mism, cells)
-    header = ["d", *["k%d" % k for k in reference.REFERENCE_K_VALUES]]
-    out = [[d, *cells_] for d, cells_ in rows]
-    _emit_table(
-        args,
-        header,
-        out,
-        {
-            "n_max": args.n_max,
-            "k_values": list(reference.REFERENCE_K_VALUES),
-            "rows": [[d, list(c)] for d, c in rows],
-        },
-    )
-    return 0
+def _threshold_json(args, rows: list[list]) -> dict:
+    return {
+        "n_max": args.n_max,
+        "k_values": list(reference.REFERENCE_K_VALUES),
+        "rows": [[r[0], r[1:]] for r in rows],
+    }
 
 
 def cmd_table2(args) -> int:
-    d_values = tuple(d for d, _ in reference.TABLE2)
-    return _threshold_table(args, d_values, reference.TABLE2, "table2", 144)
+    return _run_artifact(
+        args, artifacts.TABLE2, args.n_max, lambda rows: _threshold_json(args, rows)
+    )
 
 
 def cmd_table3(args) -> int:
-    d_values = tuple(d for d, _ in reference.TABLE3)
-    return _threshold_table(args, d_values, reference.TABLE3, "table3", 63)
+    return _run_artifact(
+        args, artifacts.TABLE3, args.n_max, lambda rows: _threshold_json(args, rows)
+    )
 
 
 def cmd_table4(args) -> int:
-    table = _acquire_table(args, args.n_max)
-    intervals = repulsion.n_d_intervals(table, args.d_max, args.n_max)
-    if args.check:
-        want = [
-            (lo, min(hi, args.d_max), v)
-            for lo, hi, v in reference.TABLE4_INTERVALS
-            if lo <= args.d_max
-        ]
-        mism = []
-        if intervals != want:
-            for got, exp in zip(intervals, want):
-                if got != exp:
-                    mism.append("got %r want %r" % (got, exp))
-            if len(intervals) != len(want):
-                mism.append(
-                    "interval count %d vs %d" % (len(intervals), len(want))
-                )
-        return _check_outcome("table4", mism, len(want))
-    header = ["d_lo", "d_hi", "n_d"]
-    out = [list(t) for t in intervals]
-    _emit_table(
-        args, header, out, {"n_max": args.n_max, "intervals": out}
+    return _run_artifact(
+        args,
+        artifacts.table4(args.d_max),
+        args.n_max,
+        lambda rows: {"n_max": args.n_max, "intervals": rows},
     )
-    return 0
 
 
 # ------------------------------------------------------- figure-data
@@ -246,32 +214,15 @@ def cmd_table4(args) -> int:
 def cmd_figure_data(args) -> int:
     k_values = _parse_k_list(args.k)
     exponents = _parse_exponents(args.d_exp)
+    if args.check:
+        if exponents != repulsion.DEFAULT_EXPONENTS:
+            raise ValueError("--check requires the default exponents 0..70")
+        return _run_artifact(args, artifacts.figure_data(k_values), args.n_max, None)
     table = _acquire_table(args, args.n_max)
     grid = repulsion.mk_grid(table, k_values, exponents, args.n_max)
-    if args.check:
-        if exponents != tuple(range(0, 71)):
-            raise ValueError("--check requires the default exponents 0..70")
-        mism = []
-        checked = 0
-        for k in k_values:
-            want = reference.FIGURE_SERIES.get(k)
-            if want is None:
-                continue
-            checked += len(want)
-            got = grid.series(k)
-            for i, (a, b) in enumerate(zip(got, want)):
-                if a != b:
-                    mism.append("k=%d i=%d got %d want %d" % (k, i, a, b))
-        if checked == 0:
-            raise ValueError("no reference series for k in %r" % (k_values,))
-        return _check_outcome("figure-data", mism, checked)
     if args.format == "csv":
         header = ["i", *["k%d" % k for k in grid.k_values]]
-        rows = [
-            [i, *(grid.series(k)[idx] for k in grid.k_values)]
-            for idx, i in enumerate(grid.d_exponents)
-        ]
-        _emit_csv(header, rows)
+        artifacts.write_csv(sys.stdout, header, artifacts.figure_rows(grid))
     elif args.format == "json":
         print(
             json.dumps(

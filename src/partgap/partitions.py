@@ -216,7 +216,13 @@ def save_table(table: PartitionTable, path: str) -> None:
 
 
 def load_table(path: str) -> PartitionTable:
-    """Inverse of save_table.  Validates length against the header."""
+    """Inverse of save_table, validated before it is trusted.
+
+    The value count must match the header, p(0..min(n_max, 64)) must
+    equal a fresh build, and every value must satisfy Ramanujan's
+    congruences p(5n+4) = 0 (mod 5), p(7n+5) = 0 (mod 7) and
+    p(11n+6) = 0 (mod 11).  Raises ValueError otherwise.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         n_max = int(header.strip())
@@ -226,4 +232,16 @@ def load_table(path: str) -> PartitionTable:
             "cache file %s: header says n_max=%d but %d values follow"
             % (path, n_max, len(vals))
         )
+    head = min(n_max, 64)
+    if vals[: head + 1] != build_table(head).values:
+        raise ValueError(
+            "cache file %s: p(0..%d) differ from the recurrence" % (path, head)
+        )
+    for modulus, offset in ((5, 4), (7, 5), (11, 6)):
+        for n in range(offset, n_max + 1, modulus):
+            if vals[n] % modulus:
+                raise ValueError(
+                    "cache file %s: p(%d) is not divisible by %d, as p(%dn+%d) must be"
+                    % (path, n, modulus, modulus, offset)
+                )
     return PartitionTable(values=vals, n_max=n_max)

@@ -94,13 +94,7 @@ def m_k_d(
         raise ValueError("k must be >= 2, got %d" % k)
     hi = _effective_n_max(table, n_max)
     if series is not None:
-        if len(series) < hi + 1:
-            raise ValueError(
-                "series covers n <= %d, need n_max=%d" % (len(series) - 1, hi)
-            )
-        dists, posns = _descending_records(series, hi)
-        # the n = 1 record has distance 0, so the bisect never misses
-        return posns[bisect.bisect_right(dists, d) - 1]
+        return _threshold_hits(table, k, [d], hi, series)[0]
     for n in range(hi, -1, -1):
         if nearest_power_distance(table.values[n], k)[1] <= d:
             return n
@@ -142,6 +136,7 @@ def _threshold_hits(
             "series for k=%d covers n <= %d, need n_max=%d" % (k, len(s) - 1, hi)
         )
     dists, posns = _descending_records(s, hi)
+    # the n = 1 record has distance 0, so the bisect never misses
     return [posns[bisect.bisect_right(dists, d) - 1] for d in d_values]
 
 

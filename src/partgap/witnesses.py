@@ -225,16 +225,22 @@ class ExceptionalReport:
         return tuple(c for c in self.checks if c.lookup.index is not None)
 
 
+def _covering_table(value: int) -> PartitionTable:
+    # p(n) < e^(pi sqrt(2n/3)), so p(n) >= value needs n >= 1.5 (ln value / pi)^2;
+    # twice that bound is one build for all but the smallest values
+    n = max(1, math.ceil(3 * (math.log(value) / math.pi) ** 2))
+    while True:
+        table = build_table(n)
+        if table.values[n] >= value:
+            return table
+        n *= 2
+
+
 def index_covering(value: int) -> int:
     """Smallest n with p(n) >= value (table sizing helper)."""
     if value < 1:
         return 0
-    n = 256
-    while True:
-        table = build_table(n)
-        if table.values[n] >= value:
-            return bisect.bisect_left(table.values, value)
-        n *= 2
+    return bisect.bisect_left(_covering_table(value).values, value)
 
 
 def check_exceptional_powers(
@@ -243,15 +249,18 @@ def check_exceptional_powers(
 ) -> ExceptionalReport:
     """Decide whether any base^power from the list is a partition number.
 
-    With no table given, one long enough for every value is built, so
-    each check is conclusive.  A table that cannot decide some value is
-    rejected with the n_max that would suffice.
+    With no table given, one long enough for every value is built once
+    and cut to p(0..index_covering(max value)), so each check is
+    conclusive.  A table that cannot decide some value is rejected with
+    the n_max that would suffice.
     """
     tuples = tuple(tuples)
     values = [t.base ** t.power for t in tuples]
     need = max(values, default=1)
     if table is None:
-        table = build_table(max(index_covering(need), 1))
+        covering = _covering_table(need)
+        n = max(bisect.bisect_left(covering.values, need), 1)
+        table = PartitionTable(values=covering.values[: n + 1], n_max=n)
     elif table.values[table.n_max] < need:
         raise ValueError(
             "table reaches p(%d) only; deciding %d needs n_max >= %d"

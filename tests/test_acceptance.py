@@ -9,15 +9,10 @@ import random
 import time
 
 from partgap import reference
+from partgap.artifacts import TABLE1, TABLE2, TABLE3, Shared, diff, figure_data, table4
 from partgap.fitting import LogPolyModel, evaluate, fit_grid_series
 from partgap.partitions import build_table, count_partitions_oracle, p1, psi
-from partgap.repulsion import (
-    distance_samples,
-    mk_grid,
-    n_d_batch,
-    n_d_intervals,
-    threshold_rows,
-)
+from partgap.repulsion import mk_grid, n_d_batch
 from partgap.roots import floor_kth_root
 from partgap.witnesses import (
     bundled_exceptional_list,
@@ -30,46 +25,38 @@ from partgap.witnesses import (
 
 def test_criterion_01_table1_exact():
     start = time.perf_counter()
-    table = build_table(50)
-    rows = distance_samples(table)
-    got = [(r.n, r.distances) for r in rows]
-    assert got == list(reference.TABLE1)
-    assert [(r.n, r.p) for r in rows] == list(reference.SAMPLE_P)
+    rows = TABLE1.compute(build_table(50), 50, Shared())
+    assert diff(TABLE1.cells(rows), TABLE1.want) == []
     assert time.perf_counter() - start < 1.0
-    print("criterion 1 PASS: table 1 exact, 15 cells")
+    print("criterion 1 PASS: table 1 exact, %d cells" % len(TABLE1.want))
 
 
 def test_criterion_02_table2_exact(table25k, deltas25k):
-    d_values = tuple(d for d, _ in reference.TABLE2)
-    rows = threshold_rows(
-        table25k, d_values, reference.REFERENCE_K_VALUES, 25000, series=deltas25k
+    rows = TABLE2.compute(table25k, 25000, Shared(series=deltas25k))
+    assert diff(TABLE2.cells(rows), TABLE2.want) == []
+    print(
+        "criterion 2 PASS: table 2 exact, %d cells at n_max=25000" % len(TABLE2.want)
     )
-    assert rows == list(reference.TABLE2)
-    print("criterion 2 PASS: table 2 exact, 144 cells at n_max=25000")
 
 
 def test_criterion_03_figure_series_exact(table25k, deltas25k):
-    grid = mk_grid(
-        table25k, (2,), range(0, 71), 25000, series=deltas25k
-    )
-    series = grid.series(2)
-    assert series == reference.FIGURE_SERIES[2]
-    coords = dict(grid.coordinates(2))
+    artifact = figure_data((2,))
+    rows = artifact.compute(table25k, 25000, Shared(series=deltas25k))
+    assert diff(artifact.cells(rows), artifact.want) == []
+    coords = dict(rows)
     assert coords[3] == 143
     assert coords[35] == 5030
     assert coords[70] == 18237
-    print("criterion 3 PASS: figure series for k=2 exact, 71 points")
+    print("criterion 3 PASS: figure series for k=2 exact, %d points" % len(rows))
 
 
 def test_criterion_04_table3_exact(table25k, deltas25k):
-    d_values = tuple(d for d, _ in reference.TABLE3)
-    rows = threshold_rows(
-        table25k, d_values, reference.REFERENCE_K_VALUES, 25000, series=deltas25k
-    )
-    assert rows == list(reference.TABLE3)
-    assert dict(rows)[2][reference.REFERENCE_K_VALUES.index(4)] == 20
-    assert dict(rows)[4][reference.REFERENCE_K_VALUES.index(6)] == 4
-    print("criterion 4 PASS: table 3 exact, 63 cells")
+    rows = TABLE3.compute(table25k, 25000, Shared(series=deltas25k))
+    assert diff(TABLE3.cells(rows), TABLE3.want) == []
+    cells = {d: tuple(row) for d, *row in rows}
+    assert cells[2][reference.REFERENCE_K_VALUES.index(4)] == 20
+    assert cells[4][reference.REFERENCE_K_VALUES.index(6)] == 4
+    print("criterion 4 PASS: table 3 exact, %d cells" % len(TABLE3.want))
 
 
 def test_criterion_05_table4_endpoints(table25k, events_full):
@@ -79,11 +66,12 @@ def test_criterion_05_table4_endpoints(table25k, events_full):
     # full interval decomposition, including the ranges above 2534:
     # the event sweep answers every d at once, so the long-running
     # part costs nothing extra here
-    intervals = n_d_intervals(table25k, 270343, events=events_full)
-    assert intervals == list(reference.TABLE4_INTERVALS)
+    artifact = table4()
+    rows = artifact.compute(table25k, 25000, Shared(events=events_full))
+    assert diff(artifact.cells(rows), artifact.want) == []
     print(
-        "criterion 5 PASS: table 4 exact at 18 endpoints and all %d runs"
-        % len(intervals)
+        "criterion 5 PASS: table 4 exact at %d endpoints and all %d runs"
+        % (len(endpoints), len(rows))
     )
 
 

@@ -343,6 +343,27 @@ def test_cache_corrupt_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_cache_rejects_forged_values(capsys, tmp_path):
+    (tmp_path / "ptable_40.txt").write_text(
+        "40\n" + "".join("%d\n" % v for v in range(1, 42))
+    )
+    code, out, err = run(capsys, "pn", "30", "--cache", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "recurrence" in err
+
+
+def test_cache_file_name_must_match_header(capsys, tmp_path):
+    table = partgap.partitions.build_table(40)
+    partgap.partitions.save_table(table, str(tmp_path / "ptable_50.txt"))
+    for n in ("30", "45"):
+        code, out, err = run(capsys, "pn", n, "--cache", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "file name says n_max=50 but header says 40" in err
+
+
 def test_cache_interrupted_write_leaves_no_table(capsys, tmp_path, monkeypatch):
     def dump_then_fail(table, stream):
         stream.write("1\n1\n2\n")

@@ -149,6 +149,20 @@ def test_load_rejects_truncated(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize(
+    "n, fragment",
+    [(10, "differ from the recurrence"), (119, "by 5"), (117, "by 7"), (116, "by 11")],
+)
+def test_load_rejects_values_off_the_sequence(tmp_path, table_small, n, fragment):
+    # p(119), p(117), p(116) sit on the residue classes 5n+4, 7n+5, 11n+6
+    values = list(table_small.values)
+    values[n] += 1
+    path = tmp_path / "bad.txt"
+    path.write_text("120\n" + "".join("%d\n" % v for v in values))
+    with pytest.raises(ValueError, match=fragment):
+        load_table(path)
+
+
 def test_dump_values(table_small):
     buf = io.StringIO()
     dump_values(table_small, buf)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partgap.witnesses
 from partgap.partitions import PartitionTable, build_table
 from partgap.witnesses import (
     PRIMES_UNDER_100,
@@ -171,6 +172,20 @@ def test_check_auto_sized_is_conclusive():
         assert c.value == c.candidate.base ** c.candidate.power
         assert c.lookup.index is None
         assert c.lookup.out_of_range is False
+
+
+def test_check_auto_sized_builds_once(monkeypatch):
+    built = []
+
+    def counted(n_max):
+        built.append(n_max)
+        return build_table(n_max)
+
+    monkeypatch.setattr(partgap.witnesses, "build_table", counted)
+    report = check_exceptional_powers(bundled_exceptional_list())
+    assert len(built) == 1
+    assert report.n_max == 192 == index_covering(12545**3)
+    assert report.all_clear
 
 
 def test_check_rejects_short_table(table_small):
