@@ -1,16 +1,34 @@
-"""Exact integer k-th roots and distances to nearest perfect powers.
+"""Exact integer k-th roots, distances to nearest perfect powers and
+perfect-power detection.
 
-All arithmetic is on arbitrary-precision ints; floats only ever seed the
-Newton iteration and every candidate is corrected against the exact
-sandwich r^k <= v < (r+1)^k before being returned.
+All arithmetic is on arbitrary-precision ints; floats only ever seed a
+root (the Newton iteration, or the whole answer below 2^53) and every
+candidate is corrected against the exact sandwich r^k <= v < (r+1)^k
+before being returned.
+
+Perfect-power detection screens before it roots.  A q-th power y^q is a
+q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
+0 (when l divides y) or one of the (l - 1)/q units x with
+x^((l-1)/q) = 1; modulo 64 and 45045 = 9*5*7*11*13 a square is one of
+the squares there.  A residue outside those sets proves v is not a q-th
+power, so only values that pass every screen get the exact root, and
+the screens can never change an answer, only skip roots that would have
+failed.  They are built lazily, per exponent, and stay small: a few
+residues per prime l, and the 12 squares modulo 64 and 2016 modulo 45045.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import NamedTuple
 
 from .partitions import PartitionTable
+
+
+# every int below 2^53 is an exact float
+_FLOAT_EXACT = 1 << 53
 
 
 class KthRootResult(NamedTuple):
@@ -21,12 +39,15 @@ class KthRootResult(NamedTuple):
 def floor_kth_root(v: int, k: int) -> KthRootResult:
     """Largest r with r^k <= v, plus whether r^k == v exactly.
 
-    v >= 0, k >= 1.  k == 2 delegates to math.isqrt.  Otherwise Newton's
-    method on integers, seeded from a float log when v fits (clamped by
-    the bit-length seed 2^ceil(bits/k), which is always >= the true root),
-    followed by exact correction loops.  The float seed is inflated by
-    1e-9 relative so rounding can only land at-or-above the true root,
-    which keeps the descent monotone.
+    v >= 0, k >= 1.  k == 2 delegates to math.isqrt.  Below 2^53 the
+    float root v ** (1/k) is within 10^-9 of the real root, so its floor
+    is off by at most one and goes straight to the exact correction
+    loops.  Otherwise Newton's method on integers, seeded from a float
+    log when v fits (clamped by the bit-length seed 2^ceil(bits/k),
+    which is always >= the true root), followed by the same correction
+    loops.  The float seed is inflated by 1e-9 relative so rounding can
+    only land at-or-above the true root, which keeps the descent
+    monotone.
     """
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)
@@ -41,23 +62,29 @@ def floor_kth_root(v: int, k: int) -> KthRootResult:
         # 2^k > v means the root is 1
         return KthRootResult(root=1, exact=v == 1)
 
-    bit_seed = 1 << -(-v.bit_length() // k)
-    try:
-        float_seed = int(math.exp(math.log(v) / k) * (1.0 + 1e-9)) + 1
-        r = float_seed if float_seed < bit_seed else bit_seed
-    except OverflowError:
-        r = bit_seed
-    while True:
-        s = ((k - 1) * r + v // r ** (k - 1)) // k
-        if s >= r:
-            break
-        r = s
-    # Newton under-/overshoot is at most a few steps here; make it exact.
-    while r ** k > v:
+    if v < _FLOAT_EXACT:
+        r = int(v ** (1.0 / k))
+    else:
+        bit_seed = 1 << -(-v.bit_length() // k)
+        try:
+            float_seed = int(math.exp(math.log(v) / k) * (1.0 + 1e-9)) + 1
+            r = float_seed if float_seed < bit_seed else bit_seed
+        except OverflowError:
+            r = bit_seed
+        while True:
+            s = ((k - 1) * r + v // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    # the float root or Newton is off by at most a few steps; make it exact
+    power = r ** k
+    while power > v:
         r -= 1
+        power = r ** k
     while (r + 1) ** k <= v:
         r += 1
-    return KthRootResult(root=r, exact=r ** k == v)
+        power = r ** k
+    return KthRootResult(root=r, exact=power == v)
 
 
 def nearest_power_distance(v: int, k: int) -> tuple[int, int]:
@@ -109,19 +136,66 @@ def _primes_up_to(limit: int) -> list[int]:
 
 
 _PRIME_CACHE: list[int] = []
+_PRIME_LIMIT = 0  # _PRIME_CACHE holds every prime <= _PRIME_LIMIT
 
 
 def prime_exponents_up_to(limit: int) -> list[int]:
     """Primes <= limit, cached monotonically (candidate exponents)."""
-    global _PRIME_CACHE
-    if not _PRIME_CACHE or _PRIME_CACHE[-1] < limit:
-        _PRIME_CACHE = _primes_up_to(max(limit, 64))
-    return [q for q in _PRIME_CACHE if q <= limit]
+    global _PRIME_CACHE, _PRIME_LIMIT
+    if limit > _PRIME_LIMIT:
+        # sieve past the limit so a slowly growing limit rarely re-sieves
+        _PRIME_LIMIT = max(2 * limit, 64)
+        _PRIME_CACHE = _primes_up_to(_PRIME_LIMIT)
+    return _PRIME_CACHE[: bisect.bisect_right(_PRIME_CACHE, limit)]
 
 
 class PowerWitness(NamedTuple):
     base: int
     exponent: int
+
+
+# q -> ((m, q-th-power residues mod m), ...), filled on first use
+_SCREENS: dict[int, tuple[tuple[int, frozenset[int]], ...]] = {}
+
+
+def _power_residues(q: int, m: int) -> frozenset[int]:
+    if q == 2:
+        return frozenset(x * x % m for x in range(m // 2 + 1))
+    # m is a prime = 1 (mod q): the nonzero q-th powers are the cyclic
+    # subgroup of order (m - 1)/q of the units, generated by some t^q
+    order = (m - 1) // q
+    for t in itertools.count(2):
+        h = pow(t, q, m)
+        residues = {0, 1}
+        x = h
+        while x != 1:
+            residues.add(x)
+            x = x * h % m
+        if len(residues) == order + 1:
+            return frozenset(residues)
+
+
+def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    """(modulus, q-th-power residues) pairs that every q-th power passes.
+
+    q = 2 uses 64 and 45045 = 9*5*7*11*13, which a non-square passes
+    with probability about 1/120; an odd prime q uses the two smallest
+    primes m = 1 (mod q), where a non-power passes each with probability
+    about 1/q.
+    """
+    screens = _SCREENS.get(q)
+    if screens is None:
+        if q == 2:
+            moduli = [64, 45045]
+        else:
+            moduli = []
+            m = 1
+            while len(moduli) < 2:
+                m += 2 * q  # m stays odd and = 1 (mod q)
+                if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
+                    moduli.append(m)
+        screens = _SCREENS[q] = tuple((m, _power_residues(q, m)) for m in moduli)
+    return screens
 
 
 def is_perfect_power(v: int) -> PowerWitness | None:
@@ -130,7 +204,34 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     Only prime exponents up to bit_length(v) need checking: any m^(ab)
     is (m^a)^b.  0 and 1 are 0^2 and 1^2.  Returns the witness with the
     smallest prime exponent found.
+
+    Each prime exponent q is screened before its root is taken: v must
+    be a square modulo 64 and 45045 (q = 2), or a q-th-power residue
+    modulo the two smallest primes l = 1 (mod q), residue 0 included.
+    Every q-th power passes, so a rejected q could not have given an
+    exact root; the answer is the one :func:`_is_perfect_power_oracle`
+    gives, with fewer than one exact root per value on average instead
+    of one per prime up to bit_length(v).
     """
+    if v < 0:
+        raise ValueError("v must be >= 0, got %d" % v)
+    if v in (0, 1):
+        return PowerWitness(base=v, exponent=2)
+    for q in prime_exponents_up_to(v.bit_length()):
+        for m, residues in _screens(q):
+            if v % m not in residues:
+                break  # v is no q-th power
+        else:
+            root, exact = floor_kth_root(v, q)
+            if exact:
+                return PowerWitness(base=root, exponent=q)
+    return None
+
+
+def _is_perfect_power_oracle(v: int) -> PowerWitness | None:
+    """Reference for :func:`is_perfect_power`: an exact root for every
+    prime exponent up to bit_length(v), no screens.  Kept for
+    cross-checks only."""
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)
     if v in (0, 1):

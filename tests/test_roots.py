@@ -3,12 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgap.roots import (
+    _is_perfect_power_oracle,
+    _screens,
     delta_k,
     floor_kth_root,
     is_perfect_power,
     nearest_power_distance,
     prime_exponents_up_to,
 )
+
+PRIMES_TO_200 = prime_exponents_up_to(200)
 
 
 def brute_floor_root(v, k):
@@ -155,3 +159,70 @@ def test_prime_exponents():
     assert prime_exponents_up_to(1) == []
     assert prime_exponents_up_to(12) == [2, 3, 5, 7, 11]
     assert prime_exponents_up_to(200)[-1] == 199
+
+
+def test_prime_exponents_grow_and_shrink():
+    assert prime_exponents_up_to(600)[-1] == 599
+    assert prime_exponents_up_to(288)[-1] == 283
+    assert prime_exponents_up_to(2) == [2]
+
+
+def test_floor_root_float_edge():
+    # the float path ends below 2^53; check the sandwich on both sides
+    top = 1 << 53
+    for k in range(3, 60):
+        r = floor_kth_root(top - 1, k).root
+        for v in (r**k - 1, r**k, r**k + 1, (r + 1) ** k - 1, (r + 1) ** k,
+                  top - 1, top, top + 1):
+            got = floor_kth_root(v, k)
+            assert got.root**k <= v < (got.root + 1) ** k
+            assert got.exact == (got.root**k == v)
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_200)
+def test_screen_residues_are_exactly_the_powers(q):
+    # sound: every x^q mod m is accepted; tight: nothing else is
+    screens = _screens(q)
+    assert len(screens) == 2
+    for m, residues in screens:
+        if q == 2:
+            assert m in (64, 45045)
+        else:
+            assert m % q == 1 and all(m % f for f in range(2, m))
+        assert residues == frozenset(pow(x, q, m) for x in range(m))
+
+
+@given(
+    st.integers(min_value=2, max_value=10**6),
+    st.sampled_from(PRIMES_TO_200),
+    st.sampled_from((-1, 0, 1)),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_power_test_matches_oracle_near_powers(y, q, step):
+    v = y**q + step
+    w = is_perfect_power(v)
+    assert w == _is_perfect_power_oracle(v)
+    if step == 0:
+        assert w is not None and w.base**w.exponent == v
+
+
+@given(
+    st.sampled_from(PRIMES_TO_200),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=1, max_value=10**30),
+    st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_power_test_matches_oracle_at_residue_zero(q, which, c, e):
+    # multiples and powers of a screen modulus have residue 0 there
+    m = _screens(q)[which][0]
+    for v in (m * c, (m * c) ** e, (m * c) ** q):
+        assert v % m == 0
+        assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+
+
+def test_screened_power_test_below_the_modulus():
+    # every v below the largest screen modulus of the small exponents
+    top = max(m for q in prime_exponents_up_to(40) for m, _ in _screens(q))
+    for v in range(0, top):
+        assert is_perfect_power(v) == _is_perfect_power_oracle(v)

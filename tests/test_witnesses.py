@@ -9,6 +9,7 @@ import partgap.witnesses
 from partgap.partitions import PartitionTable, build_table
 from partgap.witnesses import (
     PRIMES_UNDER_100,
+    CoverageWitness,
     ExceptionalTuple,
     bundled_exceptional_list,
     check_exceptional_powers,
@@ -20,6 +21,7 @@ from partgap.witnesses import (
     missed_values,
     parse_exceptional_lines,
     perfect_power_scan,
+    _witness_search_oracle,
 )
 
 SIX_TUPLES = (
@@ -232,3 +234,31 @@ def test_power_scan_empty_and_bad_ranges(table_small):
     assert perfect_power_scan(table_small, 5, 4) == []
     with pytest.raises(ValueError):
         perfect_power_scan(table_small, 2, 121)
+
+
+@given(
+    st.integers(min_value=1, max_value=10**60),
+    st.sampled_from(PRIMES_UNDER_100),
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=-2, max_value=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_witnesses_match_oracle_on_constructed_values(x, q, a, step):
+    v = x * x + q**a + step
+    table = PartitionTable(values=(v,), n_max=0)
+    want = [
+        CoverageWitness(n=0, x=wx, prime=wq, exponent=wa)
+        for wx, wq, wa in _witness_search_oracle(v)
+    ]
+    assert coverage_witnesses(table, 0) == want
+    if step == 0 and x % q:
+        assert CoverageWitness(n=0, x=x, prime=q, exponent=a) in want
+
+
+def test_screened_witnesses_match_oracle_on_partition_numbers(table_mid):
+    for n in range(0, 2001, 7):
+        want = [
+            CoverageWitness(n=n, x=x, prime=q, exponent=a)
+            for x, q, a in _witness_search_oracle(table_mid.p(n))
+        ]
+        assert coverage_witnesses(table_mid, n) == want
