@@ -47,47 +47,3 @@ from .witnesses import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PartitionTable",
-    "build_table",
-    "count_partitions_oracle",
-    "hardy_ramanujan_estimate",
-    "is_partition_number",
-    "load_table",
-    "save_table",
-    "p1",
-    "psi",
-    "DistanceRecord",
-    "delta_k",
-    "floor_kth_root",
-    "is_perfect_power",
-    "nearest_power_distance",
-    "EventSet",
-    "MkGrid",
-    "StabilizationCert",
-    "delta_series",
-    "limit_L",
-    "m_k_d",
-    "mk_grid",
-    "n_d",
-    "n_d_batch",
-    "n_d_intervals",
-    "near_power_events",
-    "stabilization_threshold",
-    "CoverageStatus",
-    "CoverageWitness",
-    "ExceptionalTuple",
-    "bundled_exceptional_list",
-    "check_exceptional_powers",
-    "coverage_scan",
-    "coverage_witness",
-    "load_exceptional_list",
-    "missed_values",
-    "perfect_power_scan",
-    "LogPolyModel",
-    "evaluate",
-    "fit_grid_series",
-    "fit_log_poly",
-    "__version__",
-]

@@ -50,14 +50,15 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
         for name in os.listdir(directory):
             m = _CACHE_PATTERN.match(name)
             if m and int(m.group(1)) >= n_max:
-                candidates.append(int(m.group(1)))
+                candidates.append((int(m.group(1)), name))
     if candidates:
-        path = os.path.join(directory, "ptable_%d.txt" % min(candidates))
+        size, name = min(candidates)
+        path = os.path.join(directory, name)
         table = load_table(path)
-        if table.n_max != min(candidates):
+        if table.n_max != size:
             raise ValueError(
                 "cache file %s: file name says n_max=%d but header says %d"
-                % (path, min(candidates), table.n_max)
+                % (path, size, table.n_max)
             )
         return table
     table = build_table(n_max)
@@ -180,23 +181,17 @@ def cmd_table1(args) -> int:
     )
 
 
-def _threshold_json(args, rows: list[list]) -> dict:
-    return {
-        "n_max": args.n_max,
-        "k_values": list(reference.REFERENCE_K_VALUES),
-        "rows": [[r[0], r[1:]] for r in rows],
-    }
-
-
-def cmd_table2(args) -> int:
+def cmd_threshold_table(args) -> int:
+    """Tables 2 and 3; ``args.artifact`` says which."""
     return _run_artifact(
-        args, artifacts.TABLE2, args.n_max, lambda rows: _threshold_json(args, rows)
-    )
-
-
-def cmd_table3(args) -> int:
-    return _run_artifact(
-        args, artifacts.TABLE3, args.n_max, lambda rows: _threshold_json(args, rows)
+        args,
+        args.artifact,
+        args.n_max,
+        lambda rows: {
+            "n_max": args.n_max,
+            "k_values": list(reference.REFERENCE_K_VALUES),
+            "rows": [[r[0], r[1:]] for r in rows],
+        },
     )
 
 
@@ -220,24 +215,21 @@ def cmd_figure_data(args) -> int:
         return _run_artifact(args, artifacts.figure_data(k_values), args.n_max, None)
     table = _acquire_table(args, args.n_max)
     grid = repulsion.mk_grid(table, k_values, exponents, args.n_max)
-    if args.format == "csv":
-        header = ["i", *["k%d" % k for k in grid.k_values]]
-        artifacts.write_csv(sys.stdout, header, artifacts.figure_rows(grid))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n_max": grid.n_max,
-                    "d_exponents": list(grid.d_exponents),
-                    "series": {str(k): list(grid.series(k)) for k in grid.k_values},
-                },
-                indent=2,
-            )
-        )
-    else:
+    if args.format == "text":
         for k in grid.k_values:
             pairs = " ".join("(%d,%d)" % (i, m) for i, m in grid.coordinates(k))
             print("k=%d: %s" % (k, pairs))
+        return 0
+    _emit_table(
+        args,
+        ["i", *["k%d" % k for k in grid.k_values]],
+        artifacts.figure_rows(grid),
+        {
+            "n_max": grid.n_max,
+            "d_exponents": list(grid.d_exponents),
+            "series": {str(k): list(grid.series(k)) for k in grid.k_values},
+        },
+    )
     return 0
 
 
@@ -361,6 +353,14 @@ def _add_format(p, choices=("csv", "json", "text"), default="csv") -> None:
     p.add_argument("--format", choices=list(choices), default=default)
 
 
+def _add_table(p, func, default_format="csv", **defaults) -> None:
+    # Added after the command's own options, so --help keeps its order.
+    p.add_argument("--check", action="store_true")
+    _add_format(p, default=default_format)
+    _add_cache(p)
+    p.set_defaults(func=func, **defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partgap",
@@ -383,41 +383,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("table1", help="sample distances for n = 10..50, k = 2..4")
-    p.add_argument("--check", action="store_true")
-    _add_format(p)
-    _add_cache(p)
-    p.set_defaults(func=cmd_table1)
+    _add_table(p, cmd_table1)
 
     p = sub.add_parser("table2", help="largest n within d of a k-th power, d = 0 and powers of ten")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
-    p.add_argument("--check", action="store_true")
-    _add_format(p)
-    _add_cache(p)
-    p.set_defaults(func=cmd_table2)
+    _add_table(p, cmd_threshold_table, artifact=artifacts.TABLE2)
 
     p = sub.add_parser("table3", help="largest n within d of a k-th power, d = 0..6")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
-    p.add_argument("--check", action="store_true")
-    _add_format(p)
-    _add_cache(p)
-    p.set_defaults(func=cmd_table3)
+    _add_table(p, cmd_threshold_table, artifact=artifacts.TABLE3)
 
     p = sub.add_parser("table4", help="stabilization indices n_d as constant runs over d")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
     p.add_argument("--d-max", type=int, default=2534)
-    p.add_argument("--check", action="store_true")
-    _add_format(p)
-    _add_cache(p)
-    p.set_defaults(func=cmd_table4)
+    _add_table(p, cmd_table4)
 
     p = sub.add_parser("figure-data", help="per-k series at d = 10^i, plot-ready")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
     p.add_argument("--k", default="2,3,4,5,6,7,8,50", help="comma-separated k list")
     p.add_argument("--d-exp", default="0..70", help="exponent range LO..HI or list a,b,c")
-    p.add_argument("--check", action="store_true")
-    _add_format(p, default="text")
-    _add_cache(p)
-    p.set_defaults(func=cmd_figure_data)
+    _add_table(p, cmd_figure_data, default_format="text")
 
     p = sub.add_parser("s-check", help="square-plus-prime-power decompositions of p(n)")
     p.add_argument("n", type=int, nargs="?")

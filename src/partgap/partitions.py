@@ -12,6 +12,7 @@ recurrence; it never feeds production paths.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import tempfile
@@ -118,11 +119,10 @@ def p1(table: PartitionTable, n: int) -> int:
     Equals p(n) - p(n-1) for n >= 1 (strip a 1 from any partition that
     has one), and 1 at n = 0 for the empty partition.
     """
-    if n < 0 or n > table.n_max:
-        raise ValueError("n=%d outside table range 0..%d" % (n, table.n_max))
+    value = table.p(n)
     if n == 0:
         return 1
-    return table.values[n] - table.values[n - 1]
+    return value - table.values[n - 1]
 
 
 def psi(table: PartitionTable, n: int) -> int:
@@ -178,15 +178,9 @@ def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
     vals = table.values
     if v > vals[table.n_max]:
         return IndexLookup(index=None, out_of_range=True)
-    lo, hi = 1, table.n_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if vals[mid] < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    if vals[lo] == v:
-        return IndexLookup(index=lo, out_of_range=False)
+    n = bisect.bisect_left(vals, v, 1, table.n_max + 1)
+    if vals[n] == v:
+        return IndexLookup(index=n, out_of_range=False)
     return IndexLookup(index=None, out_of_range=False)
 
 

@@ -149,34 +149,21 @@ def mk_grid(
 ) -> MkGrid:
     """Evaluate m_k_d over the power-of-ten grid, one root pass per k.
 
-    ``series`` may carry precomputed distance series keyed by k; each
-    cell then costs a bisect instead of n_max root extractions.
+    This is :func:`threshold_rows` at d = 10^i, transposed to one series
+    per k.  ``series`` may carry precomputed distance series keyed by k;
+    each cell then costs a bisect instead of n_max root extractions.
     """
-    hi = _effective_n_max(table, n_max)
     if len(k_values) == 0:
         raise ValueError("k_values must be non-empty")
-    if any(k < 2 for k in k_values):
-        raise ValueError("every k must be >= 2")
     if any(i < 0 for i in d_exponents):
         raise ValueError("d exponents must be >= 0")
     thresholds = [10 ** i for i in d_exponents]
-    cells = tuple(
-        tuple(
-            _threshold_hits(
-                table,
-                k,
-                thresholds,
-                hi,
-                series.get(k) if series is not None else None,
-            )
-        )
-        for k in k_values
-    )
+    rows = threshold_rows(table, thresholds, k_values, n_max, series)
     return MkGrid(
         k_values=tuple(k_values),
         d_exponents=tuple(d_exponents),
-        n_max=hi,
-        cells=cells,
+        n_max=table.n_max if n_max is None else n_max,
+        cells=tuple(tuple(ms[j] for _, ms in rows) for j in range(len(k_values))),
     )
 
 
@@ -491,9 +478,7 @@ def distance_samples(
     """Rows (n, p(n), distance for each k): the introductory table."""
     rows = []
     for n in n_values:
-        if n < 0 or n > table.n_max:
-            raise ValueError("n=%d outside table range 0..%d" % (n, table.n_max))
-        v = table.values[n]
+        v = table.p(n)
         rows.append(
             SampleRow(
                 n=n,

@@ -118,9 +118,7 @@ class DistanceRecord(NamedTuple):
 
 def delta_k(table: PartitionTable, n: int, k: int) -> DistanceRecord:
     """Distance record for p(n) against k-th powers."""
-    if n < 0 or n > table.n_max:
-        raise ValueError("n=%d outside table range 0..%d" % (n, table.n_max))
-    base, dist = nearest_power_distance(table.values[n], k)
+    base, dist = nearest_power_distance(table.p(n), k)
     return DistanceRecord(n=n, k=k, nearest_base=base, distance=dist)
 
 

@@ -26,7 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     IndexLookup,
@@ -88,27 +88,27 @@ def _witness_search_oracle(v: int):
             a += 1
 
 
+def _witnesses(table: PartitionTable, n: int) -> Iterator[CoverageWitness]:
+    # table.p checks the range: the outermost iterable of a generator
+    # expression is evaluated when it is made, not when first read
+    return (
+        CoverageWitness(n=n, x=x, prime=q, exponent=a)
+        for x, q, a in _witness_search(table.p(n))
+    )
+
+
 def coverage_witness(table: PartitionTable, n: int) -> CoverageWitness | None:
     """First decomposition p(n) = x^2 + q^a, or None.
 
     Search order is prime ascending, then exponent ascending, so the
     returned witness is deterministic.
     """
-    if n < 0 or n > table.n_max:
-        raise ValueError("n=%d outside table range 0..%d" % (n, table.n_max))
-    for x, q, a in _witness_search(table.values[n]):
-        return CoverageWitness(n=n, x=x, prime=q, exponent=a)
-    return None
+    return next(_witnesses(table, n), None)
 
 
 def coverage_witnesses(table: PartitionTable, n: int) -> list[CoverageWitness]:
     """Every decomposition of p(n), in the deterministic search order."""
-    if n < 0 or n > table.n_max:
-        raise ValueError("n=%d outside table range 0..%d" % (n, table.n_max))
-    return [
-        CoverageWitness(n=n, x=x, prime=q, exponent=a)
-        for x, q, a in _witness_search(table.values[n])
-    ]
+    return list(_witnesses(table, n))
 
 
 class CoverageStatus(NamedTuple):

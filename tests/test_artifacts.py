@@ -13,6 +13,7 @@ SCRIPT = os.path.join(
     "scripts",
     "reproduce_all.py",
 )
+FIT_SCRIPT = os.path.join(os.path.dirname(SCRIPT), "fit_models.py")
 
 # the CSV headers reproduce_all.py has always written
 HEADERS = {
@@ -98,3 +99,19 @@ def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
         **{("delta_series", k): 1 for k in reference.REFERENCE_K_VALUES},
         ("near_power_events", None): 1,
     }
+
+
+def test_fit_models_prints_both_shapes():
+    done = subprocess.run(
+        [sys.executable, FIT_SCRIPT, "--n-max", "2000"],
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(partgap.repulsion.__file__)),
+        ),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "degree 3 over d <= 10^12 (k = 50):" in done.stdout
+    assert "degree 5 over d <= 10^70 (k = 50):" in done.stdout

@@ -364,6 +364,15 @@ def test_cache_file_name_must_match_header(capsys, tmp_path):
         assert "file name says n_max=50 but header says 40" in err
 
 
+def test_cache_zero_padded_name(capsys, tmp_path):
+    # the file whose name matched is the one opened, whatever its padding
+    table = partgap.partitions.build_table(120)
+    partgap.partitions.save_table(table, str(tmp_path / "ptable_0120.txt"))
+    code, out, err = run(capsys, "pn", "50", "--cache", str(tmp_path))
+    assert (code, out, err) == (0, "204226\n", "")
+    assert os.listdir(tmp_path) == ["ptable_0120.txt"]
+
+
 def test_cache_interrupted_write_leaves_no_table(capsys, tmp_path, monkeypatch):
     def dump_then_fail(table, stream):
         stream.write("1\n1\n2\n")

@@ -1,0 +1,48 @@
+"""Full stdout and exit status of every table command, byte for byte.
+
+The files in ``golden/`` hold the output of the commands below as the
+CLI printed it when they were frozen.  Change one only together with an
+intended change of that command's output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from partgap.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+N300 = ("--n-max", "300")
+FIGURE = ("figure-data", *N300, "--k", "2,50", "--d-exp", "0..3")
+
+CASES = [
+    ("table1-csv", ("table1", "--format", "csv"), 0),
+    ("table1-json", ("table1", "--format", "json"), 0),
+    ("table1-text", ("table1", "--format", "text"), 0),
+    ("table1-check", ("table1", "--check"), 0),
+    ("table2-csv", ("table2", *N300, "--format", "csv"), 0),
+    ("table2-json", ("table2", *N300, "--format", "json"), 0),
+    ("table2-text", ("table2", *N300, "--format", "text"), 0),
+    # n_max 300 cannot reach the published thresholds past d = 10^2
+    ("table2-check", ("table2", *N300, "--check"), 1),
+    ("table3-csv", ("table3", *N300, "--format", "csv"), 0),
+    ("table3-json", ("table3", *N300, "--format", "json"), 0),
+    ("table3-text", ("table3", *N300, "--format", "text"), 0),
+    ("table3-check", ("table3", *N300, "--check"), 0),
+    ("table4-csv", ("table4", *N300, "--format", "csv"), 0),
+    ("table4-json", ("table4", *N300, "--format", "json"), 0),
+    ("table4-text", ("table4", *N300, "--format", "text"), 0),
+    ("table4-check", ("table4", *N300, "--check"), 0),
+    ("figure-data-text", (*FIGURE, "--format", "text"), 0),
+    ("figure-data-csv", (*FIGURE, "--format", "csv"), 0),
+    ("figure-data-json", (*FIGURE, "--format", "json"), 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, status", CASES, ids=[c[0] for c in CASES])
+def test_table_command_output_is_frozen(capsys, name, argv, status):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == status
+    assert out.err == ""
+    assert out.out == (GOLDEN / ("%s.txt" % name)).read_text(encoding="ascii")
