@@ -275,7 +275,7 @@ def cmd_verify_bs(args) -> int:
         tuples = witnesses.load_exceptional_list(args.bs_list)
     else:
         tuples = witnesses.bundled_exceptional_list()
-    table = _acquire_table(args, args.n_max) if args.n_max else None
+    table = _acquire_table(args, args.n_max) if args.n_max is not None else None
     report = witnesses.check_exceptional_powers(tuples, table)
     for c in report.checks:
         t = c.candidate
@@ -298,6 +298,8 @@ def cmd_verify_bs(args) -> int:
 # ---------------------------------------------------------- sun-scan
 
 def cmd_sun_scan(args) -> int:
+    if args.n_max < 2:
+        raise ValueError("--n-max must be >= 2, got %d" % args.n_max)
     table = _acquire_table(args, args.n_max)
     hits = witnesses.perfect_power_scan(table, 2, args.n_max)
     for n, w in hits:

@@ -11,12 +11,12 @@ Central quantities, all relative to a finite table p(0..n_max):
 Everything is a finite-range computation: results are exact for the
 given n_max and agree with the idealized (all-n) quantities only as
 verified lower bounds.  The expensive unit of work is an exact root.
-A distance series takes one per n for a single k; the near-power event
-sweep takes one per (n, k) pair only for small k, and for large k lists
-the few k-th powers below p(n_max) and bisects the table for p(n) near
-them (``_near_power_events_oracle`` keeps the plain per-pair loop for
-cross-checks).  Either way the work is paid once and shared by every
-table, figure, and N_d query built on top.
+A distance series or a threshold walk takes one per n for a single k;
+the near-power event sweep takes one per (n, k) pair only for small k,
+and for large k lists the few k-th powers below p(n_max) and bisects
+the table for p(n) near them (``_near_power_events_oracle`` keeps the
+plain per-pair loop for cross-checks).  Either way the work is paid
+once and shared by every table, figure, and N_d query built on top.
 """
 
 from __future__ import annotations
@@ -54,25 +54,27 @@ def delta_series(
     return [nearest_power_distance(table.values[n], k)[1] for n in range(hi + 1)]
 
 
-def _descending_records(series: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
-    # Scanning n = hi..0, keep positions achieving a new minimum distance.
+def _records(
+    table: PartitionTable, k: int, hi: int, series: Sequence[int] | None
+) -> Iterator[tuple[int, int]]:
+    # Walking n = hi..0, yield (distance, n) at each new minimum distance.
     # The largest n with distance <= d is always one of these records, so
-    # every threshold query reduces to a bisect.  Returned as parallel
-    # (distances, positions), both ascending.
-    dists: list[int] = []
-    posns: list[int] = []
+    # every threshold query is the first record <= d, or a bisect over all
+    # of them.  Distance 0 can fall no further, so the walk stops there;
+    # p(1) = 1^k guarantees it does by n = 1.
+    if series is not None and len(series) < hi + 1:
+        raise ValueError(
+            "series for k=%d covers n <= %d, need n_max=%d" % (k, len(series) - 1, hi)
+        )
+    values = table.values
     current = None
     for n in range(hi, -1, -1):
-        v = series[n]
-        if current is None or v < current:
-            dists.append(v)
-            posns.append(n)
-            current = v
-            if v == 0:
-                break
-    dists.reverse()
-    posns.reverse()
-    return dists, posns
+        dist = series[n] if series is not None else nearest_power_distance(values[n], k)[1]
+        if current is None or dist < current:
+            current = dist
+            yield dist, n
+            if dist == 0:
+                return
 
 
 def m_k_d(
@@ -85,20 +87,16 @@ def m_k_d(
     """Largest n <= n_max with p(n) within distance d of a k-th power.
 
     Always defined for d >= 0: p(1) = 1 is exactly 1^k, so the answer is
-    at least 1.  Without a precomputed distance series this scans from
-    the top and stops at the first qualifying n.
+    at least 1.  Walks down from the top, reading ``series`` when given
+    and taking roots otherwise, and stops at the first qualifying n.
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
     hi = _effective_n_max(table, n_max)
-    if series is not None:
-        return _threshold_hits(table, k, [d], hi, series)[0]
-    for n in range(hi, -1, -1):
-        if nearest_power_distance(table.values[n], k)[1] <= d:
-            return n
-    raise AssertionError("unreachable: n = 1 always qualifies")
+    # the walk ends at distance 0 <= d, so a record always qualifies
+    return next(n for dist, n in _records(table, k, hi, series) if dist <= d)
 
 
 @dataclass(frozen=True)
@@ -123,23 +121,6 @@ class MkGrid:
         return list(zip(self.d_exponents, self.series(k)))
 
 
-def _threshold_hits(
-    table: PartitionTable,
-    k: int,
-    d_values: Sequence[int],
-    hi: int,
-    series: Sequence[int] | None,
-) -> list[int]:
-    s = series if series is not None else delta_series(table, k, hi)
-    if len(s) < hi + 1:
-        raise ValueError(
-            "series for k=%d covers n <= %d, need n_max=%d" % (k, len(s) - 1, hi)
-        )
-    dists, posns = _descending_records(s, hi)
-    # the n = 1 record has distance 0, so the bisect never misses
-    return [posns[bisect.bisect_right(dists, d) - 1] for d in d_values]
-
-
 def mk_grid(
     table: PartitionTable,
     k_values: Sequence[int] = DEFAULT_K_VALUES,
@@ -147,14 +128,17 @@ def mk_grid(
     n_max: int | None = None,
     series: dict[int, Sequence[int]] | None = None,
 ) -> MkGrid:
-    """Evaluate m_k_d over the power-of-ten grid, one root pass per k.
+    """Evaluate m_k_d over the power-of-ten grid, one record walk per k.
 
     This is :func:`threshold_rows` at d = 10^i, transposed to one series
-    per k.  ``series`` may carry precomputed distance series keyed by k;
-    each cell then costs a bisect instead of n_max root extractions.
+    per k, so the k must be distinct.  ``series`` may carry precomputed
+    distance series keyed by k; the walks then read them instead of
+    taking roots.
     """
     if len(k_values) == 0:
         raise ValueError("k_values must be non-empty")
+    if len(set(k_values)) != len(k_values):
+        raise ValueError("k values must be distinct")
     if any(i < 0 for i in d_exponents):
         raise ValueError("d exponents must be >= 0")
     thresholds = [10 ** i for i in d_exponents]
@@ -177,23 +161,20 @@ def threshold_rows(
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
 
     The published grids mix a d = 0 row with powers of ten; this is the
-    row-oriented builder for those layouts.
+    row-oriented builder for those layouts.  Each k is one full record
+    walk (see :func:`m_k_d`), bisected at every d.
     """
     hi = _effective_n_max(table, n_max)
     if any(k < 2 for k in k_values):
         raise ValueError("every k must be >= 2")
     if any(d < 0 for d in d_values):
         raise ValueError("thresholds must be >= 0")
-    cols = [
-        _threshold_hits(
-            table,
-            k,
-            d_values,
-            hi,
-            series.get(k) if series is not None else None,
-        )
-        for k in k_values
-    ]
+    cols = []
+    for k in k_values:
+        walk = list(_records(table, k, hi, series.get(k) if series else None))[::-1]
+        dists = [dist for dist, _ in walk]
+        # the walk's last record has distance 0, so the bisect never misses
+        cols.append([walk[bisect.bisect_right(dists, d) - 1][1] for d in d_values])
     return [
         (d, tuple(cols[j][i] for j in range(len(k_values))))
         for i, d in enumerate(d_values)

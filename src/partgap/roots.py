@@ -3,8 +3,10 @@ perfect-power detection.
 
 All arithmetic is on arbitrary-precision ints; floats only ever seed a
 root (the Newton iteration, or the whole answer below 2^53) and every
-candidate is corrected against the exact sandwich r^k <= v < (r+1)^k
-before being returned.
+candidate is corrected against the exact bracket r^k <= v < (r+1)^k.
+One routine takes that bracket and keeps both powers: floor_kth_root
+reads exactness off r^k, and nearest_power_distance reads the distance
+off r^k and (r+1)^k without taking a power of its own.
 
 Perfect-power detection screens before it roots.  A q-th power y^q is a
 q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
@@ -36,32 +38,14 @@ class KthRootResult(NamedTuple):
     exact: bool
 
 
-def floor_kth_root(v: int, k: int) -> KthRootResult:
-    """Largest r with r^k <= v, plus whether r^k == v exactly.
-
-    v >= 0, k >= 1.  k == 2 delegates to math.isqrt.  Below 2^53 the
-    float root v ** (1/k) is within 10^-9 of the real root, so its floor
-    is off by at most one and goes straight to the exact correction
-    loops.  Otherwise Newton's method on integers, seeded from a float
-    log when v fits (clamped by the bit-length seed 2^ceil(bits/k),
-    which is always >= the true root), followed by the same correction
-    loops.  The float seed is inflated by 1e-9 relative so rounding can
-    only land at-or-above the true root, which keeps the descent
-    monotone.
-    """
-    if v < 0:
-        raise ValueError("v must be >= 0, got %d" % v)
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
-    if k == 1 or v < 2:
-        return KthRootResult(root=v, exact=True)
+def _bracket(v: int, k: int) -> tuple[int, int, int]:
+    # (r, r^k, (r+1)^k) with r the floor k-th root, for v >= 1 and k >= 2
     if k == 2:
         r = math.isqrt(v)
-        return KthRootResult(root=r, exact=r * r == v)
+        return r, r * r, (r + 1) * (r + 1)
     if v.bit_length() <= k:
         # 2^k > v means the root is 1
-        return KthRootResult(root=1, exact=v == 1)
-
+        return 1, 1, 1 << k
     if v < _FLOAT_EXACT:
         r = int(v ** (1.0 / k))
     else:
@@ -81,9 +65,35 @@ def floor_kth_root(v: int, k: int) -> KthRootResult:
     while power > v:
         r -= 1
         power = r ** k
-    while (r + 1) ** k <= v:
+    upper = (r + 1) ** k
+    while upper <= v:
         r += 1
-        power = r ** k
+        power, upper = upper, (r + 1) ** k
+    return r, power, upper
+
+
+def floor_kth_root(v: int, k: int) -> KthRootResult:
+    """Largest r with r^k <= v, plus whether r^k == v exactly.
+
+    v >= 0, k >= 1; r and r^k come from the bracket r^k <= v < (r+1)^k
+    that :func:`nearest_power_distance` shares.  k == 2 delegates to
+    math.isqrt.  Below 2^53 the float root v ** (1/k) is within 10^-9
+    of the real root, so its floor is off by at most one and goes
+    straight to the exact correction loops.  Otherwise Newton's method
+    on integers, seeded from a float log when v fits (clamped by the
+    bit-length seed 2^ceil(bits/k), which is always >= the true root),
+    followed by the same correction loops, which end holding r^k and
+    (r+1)^k.  The float seed is inflated by 1e-9 relative so rounding
+    can only land at-or-above the true root, which keeps the descent
+    monotone.
+    """
+    if v < 0:
+        raise ValueError("v must be >= 0, got %d" % v)
+    if k < 1:
+        raise ValueError("k must be >= 1, got %d" % k)
+    if k == 1 or v < 2:
+        return KthRootResult(root=v, exact=True)
+    r, power, _ = _bracket(v, k)
     return KthRootResult(root=r, exact=power == v)
 
 
@@ -91,7 +101,9 @@ def nearest_power_distance(v: int, k: int) -> tuple[int, int]:
     """(base, distance) for the k-th power nearest to v >= 1.
 
     distance = min(v - r^k, (r+1)^k - v) with r = floor k-th root; ties
-    resolve to the smaller base r.  Minimizing over bases m >= 0 is
+    resolve to the smaller base r.  Both powers come from the bracket
+    that :func:`floor_kth_root` takes, so a distance costs no power
+    beyond those of the root itself.  Minimizing over bases m >= 0 is
     enough even if negative m were allowed: for odd k those powers are
     <= -1, farther from v >= 1, and for even k they mirror m >= 0.
     """
@@ -99,12 +111,10 @@ def nearest_power_distance(v: int, k: int) -> tuple[int, int]:
         raise ValueError("v must be >= 1, got %d" % v)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
-    r = floor_kth_root(v, k).root
-    below = v - r ** k
-    above = (r + 1) ** k - v
-    if below <= above:
-        return r, below
-    return r + 1, above
+    r, power, upper = _bracket(v, k)
+    if v - power <= upper - v:
+        return r, v - power
+    return r + 1, upper - v
 
 
 class DistanceRecord(NamedTuple):

@@ -420,6 +420,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "figure-data", "--d-exp", "9..2")[0] == 2
     assert run(capsys, "fit", "--degree", "0", "--n-max", "300")[0] == 2
     assert run(capsys, "missed")[0] == 2
+    assert run(capsys, "verify-bs", "--n-max", "0")[0] == 2
+    assert run(capsys, "sun-scan", "--n-max", "1")[0] == 2
+    assert run(capsys, "figure-data", "--n-max", "300", "--k", "2,2")[0] == 2
 
 
 def test_help_exits_zero(capsys):

@@ -46,6 +46,7 @@ def test_m_k_d_matches_brute_force(table_small):
         series = delta_series(table_small, k, 120)
         for d in (0, 1, 2, 5, 10, 100, 10**6, 10**40):
             assert m_k_d(table_small, k, d) == brute_m_k_d(series, d)
+            assert m_k_d(table_small, k, d, series=series) == brute_m_k_d(series, d)
 
 
 def test_m_k_d_witness_and_exclusion(table_small):
@@ -74,6 +75,8 @@ def test_m_k_d_floor_is_one(table_small):
 def test_m_k_d_accepts_precomputed_series(table_small):
     series = delta_series(table_small, 3, 120)
     assert m_k_d(table_small, 3, 7, series=series) == m_k_d(table_small, 3, 7)
+    with pytest.raises(ValueError):
+        m_k_d(table_small, 3, 7, series=series[:-1])
 
 
 def test_grid_cells_monotone_and_consistent(table_small):
@@ -94,6 +97,8 @@ def test_grid_rejects_bad_args(table_small):
         mk_grid(table_small, (1,), range(0, 3), 120)
     with pytest.raises(ValueError):
         mk_grid(table_small, (2,), (-1, 0), 120)
+    with pytest.raises(ValueError):
+        mk_grid(table_small, (2, 2), range(0, 3), 120)
 
 
 def test_threshold_rows_shape(table_small):

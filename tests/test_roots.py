@@ -84,9 +84,16 @@ def brute_nearest(v, k):
 
 
 def test_nearest_power_exhaustive():
-    for k in range(2, 7):
+    for k in range(2, 21):
         for v in range(1, 2001):
             assert nearest_power_distance(v, k) == brute_nearest(v, k)
+    # y^k and y^k +- 1 on both sides of 2^53, where the float root stops;
+    # the next power is far away, so y is nearest at distance |step|
+    for k in range(3, 8):
+        y = floor_kth_root((1 << 53) - 1, k).root
+        for base in (y, y + 1):
+            for step in (-1, 0, 1):
+                assert nearest_power_distance(base**k + step, k) == (base, abs(step))
 
 
 def test_nearest_power_rejects_bad_args():
