@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ from .partitions import (
     dump_values,
     hardy_ramanujan_estimate,
     load_table,
+    log_hardy_ramanujan,
     save_table,
 )
 from .roots import delta_k
@@ -39,7 +41,11 @@ def _cache_dir(args) -> str | None:
 
 
 def _acquire_table(args, n_max: int) -> PartitionTable:
-    """Build p(0..n_max), reusing a cached table when one suffices."""
+    """Build p(0..n_max), reusing a cached table when one suffices.
+
+    A longer cached table is cut to p(0..n_max), so what a command
+    reports never depends on what the cache holds.
+    """
     if n_max < 1:
         raise ValueError("--n-max must be >= 1, got %d" % n_max)
     directory = _cache_dir(args)
@@ -60,7 +66,7 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
                 "cache file %s: file name says n_max=%d but header says %d"
                 % (path, size, table.n_max)
             )
-        return table
+        return PartitionTable(values=table.values[: n_max + 1], n_max=n_max)
     table = build_table(n_max)
     os.makedirs(directory, exist_ok=True)
     save_table(table, os.path.join(directory, "ptable_%d.txt" % n_max))
@@ -149,11 +155,14 @@ def cmd_pn(args) -> int:
         if args.n < 1:
             raise ValueError("--estimate needs n >= 1")
         est = hardy_ramanujan_estimate(args.n)
-        ratio = est / value
+        # from logs: past float range est is inf and p(n) has no float
+        ratio = math.exp(log_hardy_ramanujan(args.n) - math.log(value))
         print("estimate=%.6g ratio=%.6g" % (est, ratio))
     if args.export:
+        # the table reaches p(1) at least; the file holds p(0..n) only
+        exact = PartitionTable(values=table.values[: args.n + 1], n_max=args.n)
         with open(args.export, "w", encoding="ascii") as fh:
-            dump_values(table, fh)
+            dump_values(exact, fh)
     return 0
 
 

@@ -138,16 +138,22 @@ def psi(table: PartitionTable, n: int) -> int:
     return table.values[n] - 1
 
 
+def log_hardy_ramanujan(n: int) -> float:
+    """Natural log of :func:`hardy_ramanujan_estimate`, finite for every
+    n >= 1, so p(n) / estimate stays computable past float range."""
+    return math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * n * math.sqrt(3.0))
+
+
 def hardy_ramanujan_estimate(n: int) -> float:
     """First-order asymptotic e^(pi*sqrt(2n/3)) / (4n*sqrt(3)) for p(n).
 
-    Evaluated in log space so the ratio check stays meaningful for n in
-    the tens of thousands; returns math.inf once the value leaves float
-    range.  Defined for n >= 1.
+    Evaluated in log space (:func:`log_hardy_ramanujan`) so the ratio
+    check stays meaningful for n in the tens of thousands; returns
+    math.inf once the value leaves float range.  Defined for n >= 1.
     """
     if n < 1:
         raise ValueError("estimate needs n >= 1, got %d" % n)
-    log_value = math.pi * math.sqrt(2.0 * n / 3.0) - math.log(4.0 * n * math.sqrt(3.0))
+    log_value = log_hardy_ramanujan(n)
     if log_value >= 709.0:  # just under log(float_max)
         return math.inf
     return math.exp(log_value)

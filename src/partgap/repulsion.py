@@ -239,17 +239,57 @@ class NearPowerEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class EventSet:
-    """All near-power events with distance <= d_cap, n in 2..n_max.
+    """All near-power events with distance <= d_cap, n in 2..n_max, and
+    the runs of n_d they decide.
 
     Only k below the per-n freeze bound (2^k < 2 p(n)) are recorded.
     For larger k the distance equals p(n) - 1, and such a pair can never
     separate m_k_d from limit_L: p(n) - 1 <= d already forces
     n <= limit_L(d).
+
+    ``runs`` holds the maximal runs (d_lo, d_hi, N) with n_d constant,
+    ascending and covering d = 0..min(d_cap, p(n_max) - 2): past
+    p(n_max) - 2, limit_L over p(0..n_max) is undecided, and at n_max 1
+    that leaves no d at all, so no runs.  Every n_d query reads them.
     """
 
     n_max: int
     d_cap: int
     events: tuple[NearPowerEvent, ...]
+    runs: tuple[tuple[int, int, int], ...]
+
+
+def _event_set(table: PartitionTable, d_cap: int, hi: int, events: list) -> EventSet:
+    # An event (n, k, distance) applies at d exactly when distance <= d
+    # <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
+    # more than the largest k applying there, or 2.  So n_d can change
+    # only at an interval's start or one past its end, and one sweep over
+    # those points, with a max-heap of the applying k, yields the runs.
+    d_max = min(d_cap, table.values[hi] - 2)
+    spans = sorted(
+        (e.distance, e.k, table.values[e.n] - 2)
+        for e in events
+        if e.distance <= min(d_max, table.values[e.n] - 2)
+    )
+    bounds = {0} | {c for start, _, last in spans for c in (start, last + 1)}
+    cuts = sorted(c for c in bounds if c <= d_max)
+    # heap of (-k, last d it applies at): the largest applying k on top
+    applying: list[tuple[int, int]] = []
+    out: list[tuple[int, int, int]] = []
+    i = 0
+    for j, lo in enumerate(cuts):
+        while i < len(spans) and spans[i][0] <= lo:
+            heapq.heappush(applying, (-spans[i][1], spans[i][2]))
+            i += 1
+        while applying and applying[0][1] < lo:
+            heapq.heappop(applying)
+        value = 1 - applying[0][0] if applying else 2
+        upper = cuts[j + 1] - 1 if j + 1 < len(cuts) else d_max
+        if out and out[-1][2] == value:
+            out[-1] = (out[-1][0], upper, value)
+        else:
+            out.append((lo, upper, value))
+    return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events), runs=tuple(out))
 
 
 def _near_power_events_oracle(
@@ -270,7 +310,7 @@ def _near_power_events_oracle(
             dist = nearest_power_distance(v, k)[1]
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
-    return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events))
+    return _event_set(table, d_cap, hi, events)
 
 
 def _power_neighbours(
@@ -305,7 +345,9 @@ def near_power_events(
     Each n is examined at most once per k, so no d_cap costs more roots
     than the oracle (plus one per k for Y).  At n_max 25000 the large k
     cover most pairs and the small-k roots dominate.  The result lists
-    events in (n, k) order and answers every d <= d_cap afterwards.
+    events in (n, k) order, and one heap sweep over them gives its
+    ``runs``: n_d at every d <= min(d_cap, p(n_max) - 2), which the n_d
+    family then reads by bisection.
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
@@ -326,32 +368,48 @@ def near_power_events(
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
     events.sort()  # per-k order to (n, k) order
-    return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events))
+    return _event_set(table, d_cap, hi, events)
 
 
 def _require_events(
-    table: PartitionTable, d_cap: int, n_max: int, events: EventSet | None
+    table: PartitionTable, d: int, n_max: int | None, events: EventSet | None
 ) -> EventSet:
+    # Every check runs before the sweep, so input the range cannot
+    # decide costs no sweep: d, then n_max, then the table edge, then a
+    # given set's cap and range.
+    if d < 0:
+        raise ValueError("d must be >= 0, got %d" % d)
+    hi = _effective_n_max(table, n_max)
+    _limit_L(table, d, hi)  # raises where p(0..hi) stops deciding
     if events is None:
-        return near_power_events(table, d_cap, n_max)
-    if events.d_cap < d_cap:
+        return near_power_events(table, d, hi)
+    if events.d_cap < d:
         raise ValueError(
-            "event set capped at d=%d, need %d" % (events.d_cap, d_cap)
+            "event set capped at d=%d, need %d" % (events.d_cap, d)
         )
-    if events.n_max != n_max:
+    if events.n_max != hi:
         raise ValueError(
-            "event set covers n_max=%d, need %d" % (events.n_max, n_max)
+            "event set covers n_max=%d, need %d" % (events.n_max, hi)
         )
     return events
 
 
 def _n_d_from_events(table: PartitionTable, d: int, events: EventSet) -> int:
+    """n_d(d) by a scan over every event: the plain definition that the
+    runs in :class:`EventSet` are tested against.  Kept for cross-checks
+    only; never feeds production paths.
+    """
     limit = _limit_L(table, d, events.n_max)
     worst = 1
     for ev in events.events:
         if ev.n > limit and ev.distance <= d and ev.k > worst:
             worst = ev.k
     return worst + 1
+
+
+def _n_d_at(runs: Sequence[tuple[int, int, int]], d: int) -> int:
+    # the N of the last run starting at or below d
+    return runs[bisect.bisect_left(runs, (d + 1,)) - 1][2]
 
 
 def n_d(
@@ -368,14 +426,12 @@ def n_d(
     are exactly the recorded events; so N is one more than the largest
     event k at this d, or 2 when no event applies.  k at or above the
     freeze bound needs no check (see EventSet), which is what makes the
-    quantity finitely computable.  Raises ValueError for d >= p(n_max) - 1,
-    where limit_L over p(0..n_max) is undecided.
+    quantity finitely computable.  The answer is one bisect over the
+    event set's ``runs``, which cover d <= p(n_max) - 2.  Raises
+    ValueError for d >= p(n_max) - 1, where limit_L over p(0..n_max) is
+    undecided, before any sweep.
     """
-    if d < 0:
-        raise ValueError("d must be >= 0, got %d" % d)
-    hi = _effective_n_max(table, n_max)
-    ev = _require_events(table, d, hi, events)
-    return _n_d_from_events(table, d, ev)
+    return _n_d_at(_require_events(table, d, n_max, events).runs, d)
 
 
 def n_d_batch(
@@ -387,9 +443,10 @@ def n_d_batch(
     """n_d at many thresholds off a single event sweep."""
     if len(d_values) == 0:
         return {}
-    hi = _effective_n_max(table, n_max)
-    ev = _require_events(table, max(d_values), hi, events)
-    return {d: _n_d_from_events(table, d, ev) for d in d_values}
+    if min(d_values) < 0:
+        raise ValueError("d must be >= 0, got %d" % min(d_values))
+    runs = _require_events(table, max(d_values), n_max, events).runs
+    return {d: _n_d_at(runs, d) for d in d_values}
 
 
 def n_d_intervals(
@@ -400,47 +457,15 @@ def n_d_intervals(
 ) -> list[tuple[int, int, int]]:
     """Maximal runs (d_lo, d_hi, N) with n_d constant, covering 0..d_max.
 
-    An event (n, k, distance) applies at d exactly when distance <= d
-    <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
-    more than the largest k applying there, or 2.  So n_d can change
-    only at an interval's start or one past its end, and one sweep over
-    those points, with a max-heap of the applying k, yields the runs.
-    Like n_d, raises ValueError once d_max reaches p(n_max) - 1, where
-    the range p(0..n_max) no longer decides limit_L, even when the table
-    itself extends further.
+    These are the event set's ``runs`` (see :class:`EventSet`) cut at
+    d_max.  Like n_d, raises ValueError once d_max reaches p(n_max) - 1,
+    where the range p(0..n_max) no longer decides limit_L, even when the
+    table itself extends further, and does so before any sweep.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0, got %d" % d_max)
-    hi = _effective_n_max(table, n_max)
-    _limit_L(table, d_max, hi)  # raises where the range stops deciding
-    ev = _require_events(table, d_max, hi, events)
-    spans = sorted(
-        (e.distance, e.k, table.values[e.n] - 2)
-        for e in ev.events
-        if e.distance <= min(d_max, table.values[e.n] - 2)
-    )
-    cuts = sorted(
-        {0}
-        | {start for start, _, _ in spans}
-        | {last + 1 for _, _, last in spans if last < d_max}
-    )
-    # heap of (-k, last d it applies at): the largest applying k on top
-    applying: list[tuple[int, int]] = []
-    out: list[tuple[int, int, int]] = []
-    i = 0
-    for j, lo in enumerate(cuts):
-        while i < len(spans) and spans[i][0] <= lo:
-            heapq.heappush(applying, (-spans[i][1], spans[i][2]))
-            i += 1
-        while applying and applying[0][1] < lo:
-            heapq.heappop(applying)
-        value = 1 - applying[0][0] if applying else 2
-        upper = cuts[j + 1] - 1 if j + 1 < len(cuts) else d_max
-        if out and out[-1][2] == value:
-            out[-1] = (out[-1][0], upper, value)
-        else:
-            out.append((lo, upper, value))
-    return out
+    runs = _require_events(table, d_max, n_max, events).runs
+    return [(lo, min(hi, d_max), value) for lo, hi, value in runs if lo <= d_max]
 
 
 class SampleRow(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -423,6 +424,66 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify-bs", "--n-max", "0")[0] == 2
     assert run(capsys, "sun-scan", "--n-max", "1")[0] == 2
     assert run(capsys, "figure-data", "--n-max", "300", "--k", "2,2")[0] == 2
+    assert run(capsys, "table4", "--n-max", "300", "--d-max", "-1") == (
+        2,
+        "",
+        "error: d_max must be >= 0, got -1\n",
+    )
+    # p(2) = 2, so the range p(0..2) decides d = 0 only
+    assert run(capsys, "table4", "--n-max", "2", "--d-max", "1") == (
+        2,
+        "",
+        "error: d=1 is not below p(n_max) - 1; extend the table\n",
+    )
+
+
+def test_pn_estimate_past_float_range(capsys, monkeypatch):
+    # A fake p(0..80000), all ones but the last: no 3-second build.  The
+    # estimate at 80000 is past float range (inf); the ratio must stay
+    # finite both for a p(N) past float range and for one inside it.
+    def fake_build(top):
+        return lambda n_max: partgap.partitions.PartitionTable(
+            values=(1,) * n_max + (top,), n_max=n_max
+        )
+
+    log_estimate = math.pi * math.sqrt(2 * 80000 / 3) - math.log(4 * 80000 * math.sqrt(3))
+    for digits in (400, 301):
+        top = 10 ** (digits - 1)
+        monkeypatch.setattr(partgap.cli, "build_table", fake_build(top))
+        code, out, err = run(capsys, "pn", "80000", "--estimate")
+        assert (code, err) == (0, "")
+        ratio = math.exp(log_estimate - (digits - 1) * math.log(10))
+        assert out == "%d\nestimate=inf ratio=%.6g\n" % (top, ratio)
+        assert 0 < ratio < math.inf
+
+
+def test_pn_zero_export_is_one_line(capsys, tmp_path):
+    target = tmp_path / "values.txt"
+    assert run(capsys, "pn", "0", "--export", str(target)) == (0, "1\n", "")
+    assert target.read_text() == "1\n"
+
+
+def test_output_does_not_depend_on_the_cache(capsys, tmp_path):
+    # with a 300-entry cache, each command reports what it reports
+    # without one
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    partgap.partitions.save_table(
+        partgap.partitions.build_table(300), str(cache / "ptable_300.txt")
+    )
+    fresh, cached = tmp_path / "fresh.txt", tmp_path / "cached.txt"
+    assert run(capsys, "pn", "50", "--export", str(fresh)) == (0, "204226\n", "")
+    assert run(capsys, "pn", "50", "--export", str(cached), "--cache", str(cache)) == (
+        0,
+        "204226\n",
+        "",
+    )
+    assert len(cached.read_text().splitlines()) == 51
+    assert cached.read_text() == fresh.read_text()
+    plain = run(capsys, "verify-bs", "--n-max", "200")
+    assert plain[1].splitlines()[-1].endswith("n_max=200")
+    assert run(capsys, "verify-bs", "--n-max", "200", "--cache", str(cache)) == plain
+    assert os.listdir(cache) == ["ptable_300.txt"]
 
 
 def test_help_exits_zero(capsys):

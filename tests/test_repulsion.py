@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partgap.repulsion
 from partgap.partitions import build_table, p1
 from partgap.repulsion import (
     _n_d_from_events,
@@ -304,6 +305,87 @@ def test_events_argument_validation(table_small):
         n_d_intervals(table_small, 500, n_max=90, events=events)
     with pytest.raises(ValueError):
         n_d(table_small, 50, events=events)  # table covers 120, events only 90
+
+
+@st.composite
+def n_d_cases(draw):
+    size = draw(st.integers(min_value=2, max_value=600))
+    n_max = draw(st.sampled_from((None, 1, 2)) | st.integers(min_value=1, max_value=size))
+    top = cached_table(size).p(size if n_max is None else n_max)
+    d_cap = draw(
+        st.just(0)
+        | st.integers(min_value=1, max_value=10**4)
+        | st.integers(min_value=top, max_value=2 * top)
+    )
+    return size, n_max, d_cap
+
+
+@given(n_d_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_n_d_family_reads_the_runs(case, data):
+    # the runs answer exactly what a scan over every event answers, at
+    # each run's ends, one past each end and at random d, and cut at any
+    # d_max they are the per-cut evaluation
+    size, n_max, d_cap = case
+    table = cached_table(size)
+    hi = size if n_max is None else n_max
+    events = near_power_events(table, d_cap, n_max)
+    last = min(d_cap, table.p(hi) - 2)
+    if last < 0:  # n_max 1 decides no d
+        assert events.runs == ()
+        with pytest.raises(ValueError, match="not below p"):
+            n_d(table, 0, n_max, events=events)
+        return
+    assert events.runs[0][0] == 0 and events.runs[-1][1] == last
+    assert all(a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(events.runs, events.runs[1:]))
+    ds = {d for lo, up, _ in events.runs for d in (lo, up, up + 1)}
+    ds.update(data.draw(st.lists(st.integers(min_value=0, max_value=last), max_size=5)))
+    ds = sorted(d for d in ds if d <= last)
+    want = {d: _n_d_from_events(table, d, events) for d in ds}
+    assert {d: n_d(table, d, n_max, events=events) for d in ds} == want
+    assert n_d_batch(table, ds, n_max, events=events) == want
+    for d_max in (0, data.draw(st.integers(min_value=0, max_value=min(last, 10**4)))):
+        # the per-cut oracle scans every event per cut, so it reads a set
+        # capped at d_max; the runs come from the full set
+        capped = near_power_events(table, d_max, n_max)
+        assert n_d_intervals(table, d_max, n_max, events=events) == per_cut_intervals(
+            table, d_max, hi, capped
+        )
+
+
+def test_undecidable_d_rejected_before_any_sweep(monkeypatch):
+    table = cached_table(600)
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(args)
+        return near_power_events(*args, **kwargs)
+
+    monkeypatch.setattr(partgap.repulsion, "near_power_events", counted)
+    with pytest.raises(ValueError, match="not below p"):
+        n_d(table, 10**200)
+    with pytest.raises(ValueError, match="not below p"):
+        n_d_batch(table, (0, 10**200))
+    with pytest.raises(ValueError, match="not below p"):
+        n_d_intervals(table, 10**200)
+    assert sweeps == []
+    assert n_d(table, 5) == n_d_batch(table, (5,))[5]  # the counter counts
+    assert len(sweeps) == 2
+
+
+def test_edge_reported_before_event_cap():
+    # d past both a given set's cap and the table edge: the edge decides
+    table = cached_table(300)
+    events = near_power_events(table, 100, 200)
+    edge = table.p(200) - 1
+    with pytest.raises(ValueError, match="not below p"):
+        n_d(table, edge, 200, events=events)
+    with pytest.raises(ValueError, match="not below p"):
+        n_d_batch(table, (0, edge), 200, events=events)
+    with pytest.raises(ValueError, match="capped at d=100"):
+        n_d(table, edge - 1, 200, events=events)
+    with pytest.raises(ValueError, match="d must be >= 0, got -3"):
+        n_d_batch(table, (-1, -3, 5), 200, events=events)
 
 
 def test_distance_samples(table_small):
