@@ -43,30 +43,31 @@ def _cache_dir(args) -> str | None:
 def _acquire_table(args, n_max: int) -> PartitionTable:
     """Build p(0..n_max), reusing a cached table when one suffices.
 
-    A longer cached table is cut to p(0..n_max), so what a command
-    reports never depends on what the cache holds.
+    Of a longer cached table only p(0..n_max) is read and checked, so
+    what a command reports never depends on what the cache holds, and a
+    small query pays little for a large cache.
     """
     if n_max < 1:
         raise ValueError("--n-max must be >= 1, got %d" % n_max)
     directory = _cache_dir(args)
     if directory is None:
         return build_table(n_max)
-    candidates = []
-    if os.path.isdir(directory):
-        for name in os.listdir(directory):
-            m = _CACHE_PATTERN.match(name)
-            if m and int(m.group(1)) >= n_max:
-                candidates.append((int(m.group(1)), name))
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    candidates = [
+        (int(m.group(1)), name) for name in names
+        if (m := _CACHE_PATTERN.match(name)) and int(m.group(1)) >= n_max
+    ]
     if candidates:
         size, name = min(candidates)
         path = os.path.join(directory, name)
-        table = load_table(path)
-        if table.n_max != size:
+        with open(path, "rb") as fh:
+            header = int(fh.readline())
+        if header != size:
             raise ValueError(
                 "cache file %s: file name says n_max=%d but header says %d"
-                % (path, size, table.n_max)
+                % (path, size, header)
             )
-        return PartitionTable(values=table.values[: n_max + 1], n_max=n_max)
+        return load_table(path, n_max)
     table = build_table(n_max)
     os.makedirs(directory, exist_ok=True)
     save_table(table, os.path.join(directory, "ptable_%d.txt" % n_max))

@@ -13,6 +13,7 @@ recurrence; it never feeds production paths.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 import tempfile
@@ -215,33 +216,39 @@ def save_table(table: PartitionTable, path: str) -> None:
         raise
 
 
-def load_table(path: str) -> PartitionTable:
+def load_table(path: str, n_max: int | None = None) -> PartitionTable:
     """Inverse of save_table, validated before it is trusted.
 
-    The value count must match the header, p(0..min(n_max, 64)) must
-    equal a fresh build, and every value must satisfy Ramanujan's
-    congruences p(5n+4) = 0 (mod 5), p(7n+5) = 0 (mod 7) and
-    p(11n+6) = 0 (mod 11).  Raises ValueError otherwise.
+    The value count must match the header.  Only p(0..n_max) is parsed
+    and returned (the whole file when n_max is None), and only that part
+    is checked: p(0..min(n_max, 64)) must equal a fresh build, and every
+    value must satisfy Ramanujan's congruences p(5n+4) = 0 (mod 5),
+    p(7n+5) = 0 (mod 7) and p(11n+6) = 0 (mod 11).  Raises ValueError
+    otherwise.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        n_max = int(header.strip())
-        vals = tuple(int(line) for line in fh if line.strip())
-    if len(vals) != n_max + 1:
+    with open(path, "rb") as fh:
+        size = int(fh.readline())
+        hi = size if n_max is None else n_max
+        if not 0 <= hi <= size:
+            raise ValueError("cache file %s: n_max=%d outside 0..%d" % (path, hi, size))
+        lines = (line for line in fh if line.strip())
+        vals = tuple(map(int, itertools.islice(lines, hi + 1)))
+        count = len(vals) + sum(1 for _ in lines)  # the rest, counted unparsed
+    if count != size + 1:
         raise ValueError(
             "cache file %s: header says n_max=%d but %d values follow"
-            % (path, n_max, len(vals))
+            % (path, size, count)
         )
-    head = min(n_max, 64)
+    head = min(hi, 64)
     if vals[: head + 1] != build_table(head).values:
         raise ValueError(
             "cache file %s: p(0..%d) differ from the recurrence" % (path, head)
         )
     for modulus, offset in ((5, 4), (7, 5), (11, 6)):
-        for n in range(offset, n_max + 1, modulus):
+        for n in range(offset, hi + 1, modulus):
             if vals[n] % modulus:
                 raise ValueError(
                     "cache file %s: p(%d) is not divisible by %d, as p(%dn+%d) must be"
                     % (path, n, modulus, modulus, offset)
                 )
-    return PartitionTable(values=vals, n_max=n_max)
+    return PartitionTable(values=vals, n_max=hi)

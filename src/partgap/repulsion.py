@@ -10,13 +10,18 @@ Central quantities, all relative to a finite table p(0..n_max):
 
 Everything is a finite-range computation: results are exact for the
 given n_max and agree with the idealized (all-n) quantities only as
-verified lower bounds.  The expensive unit of work is an exact root.
-A distance series or a threshold walk takes one per n for a single k;
-the near-power event sweep takes one per (n, k) pair only for small k,
-and for large k lists the few k-th powers below p(n_max) and bisects
-the table for p(n) near them (``_near_power_events_oracle`` keeps the
-plain per-pair loop for cross-checks).  Either way the work is paid
-once and shared by every table, figure, and N_d query built on top.
+verified lower bounds.  The expensive unit of work is an exact root,
+and one kernel, ``_distances``, takes them all: for one k and the n it
+is given, it yields the distance from p(n) to the nearest k-th power,
+one root bracket per value, lazily and in the order asked.  A distance
+series reads it over n = 0..n_max, a threshold walk over n = n_max..0
+(stopping early), and the near-power event sweep over every n below
+the freeze bound for small k, or for large k over the few n whose p(n)
+lies near one of the k-th powers below p(n_max).
+``_near_power_events_oracle`` and ``distance_samples`` keep one
+``nearest_power_distance`` call per pair, so the oracle stays
+independent of the kernel.  The work is paid once and shared by every
+table, figure, and N_d query built on top.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable
-from .roots import floor_kth_root, nearest_power_distance
+from .roots import _bracket, floor_kth_root, nearest_power_distance
 
 DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8, 50, 100)
 DEFAULT_EXPONENTS = tuple(range(0, 71))
@@ -44,6 +49,16 @@ def _effective_n_max(table: PartitionTable, n_max: int | None) -> int:
     return n_max
 
 
+def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
+    # (n, distance from values[n] to the nearest k-th power) for n in ns,
+    # in the order given: one root bracket per value and no argument
+    # checks, so callers check k >= 2 and values[n] >= 1 themselves.
+    for n in ns:
+        v = values[n]
+        _, power, upper = _bracket(v, k)
+        yield n, min(v - power, upper - v)
+
+
 def delta_series(
     table: PartitionTable, k: int, n_max: int | None = None
 ) -> list[int]:
@@ -51,7 +66,7 @@ def delta_series(
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
     hi = _effective_n_max(table, n_max)
-    return [nearest_power_distance(table.values[n], k)[1] for n in range(hi + 1)]
+    return [dist for _, dist in _distances(table.values, k, range(hi + 1))]
 
 
 def _records(
@@ -66,10 +81,10 @@ def _records(
         raise ValueError(
             "series for k=%d covers n <= %d, need n_max=%d" % (k, len(series) - 1, hi)
         )
-    values = table.values
+    ns = range(hi, -1, -1)
+    walk = _distances(table.values, k, ns) if series is None else ((n, series[n]) for n in ns)
     current = None
-    for n in range(hi, -1, -1):
-        dist = series[n] if series is not None else nearest_power_distance(values[n], k)[1]
+    for n, dist in walk:
         if current is None or dist < current:
             current = dist
             yield dist, n
@@ -175,10 +190,7 @@ def threshold_rows(
         dists = [dist for dist, _ in walk]
         # the walk's last record has distance 0, so the bisect never misses
         cols.append([walk[bisect.bisect_right(dists, d) - 1][1] for d in d_values])
-    return [
-        (d, tuple(cols[j][i] for j in range(len(k_values))))
-        for i, d in enumerate(d_values)
-    ]
+    return [(d, tuple(col[i] for col in cols)) for i, d in enumerate(d_values)]
 
 
 def limit_L(table: PartitionTable, d: int) -> int:
@@ -363,8 +375,7 @@ def near_power_events(
             candidates = range(first, hi + 1)
         else:
             candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
-        for n in candidates:
-            dist = nearest_power_distance(values[n], k)[1]
+        for n, dist in _distances(values, k, candidates):
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
     events.sort()  # per-k order to (n, k) order

@@ -2,11 +2,14 @@
 perfect-power detection.
 
 All arithmetic is on arbitrary-precision ints; floats only ever seed a
-root (the Newton iteration, or the whole answer below 2^53) and every
-candidate is corrected against the exact bracket r^k <= v < (r+1)^k.
-One routine takes that bracket and keeps both powers: floor_kth_root
-reads exactness off r^k, and nearest_power_distance reads the distance
-off r^k and (r+1)^k without taking a power of its own.
+root and every candidate is corrected against the exact bracket
+r^k <= v < (r+1)^k.  A root of at most 45 bits (v below 2^(45k), which
+covers every v below 2^53 once k >= 3) is seeded straight from a
+double, which lands within one of it; only larger roots run Newton's
+iteration first.  One routine takes that bracket and keeps both powers:
+floor_kth_root reads exactness off r^k, and nearest_power_distance
+reads the distance off r^k and (r+1)^k without taking a power of its
+own.
 
 Perfect-power detection screens before it roots.  A q-th power y^q is a
 q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
@@ -29,10 +32,6 @@ from typing import NamedTuple
 from .partitions import PartitionTable
 
 
-# every int below 2^53 is an exact float
-_FLOAT_EXACT = 1 << 53
-
-
 class KthRootResult(NamedTuple):
     root: int
     exact: bool
@@ -43,22 +42,19 @@ def _bracket(v: int, k: int) -> tuple[int, int, int]:
     if k == 2:
         r = math.isqrt(v)
         return r, r * r, (r + 1) * (r + 1)
-    if v.bit_length() <= k:
+    if (bits := v.bit_length()) <= k:
         # 2^k > v means the root is 1
         return 1, 1, 1 << k
-    if v < _FLOAT_EXACT:
-        r = int(v ** (1.0 / k))
+    if bits <= 45 * k:
+        # a root of at most 45 bits: the double is off by well under one
+        r = int(2.0 ** (math.log2(v) / k))
     else:
-        bit_seed = 1 << -(-v.bit_length() // k)
         try:
-            float_seed = int(math.exp(math.log(v) / k) * (1.0 + 1e-9)) + 1
-            r = float_seed if float_seed < bit_seed else bit_seed
+            # inflated to land at or above the root, so Newton descends
+            r = int(2.0 ** (math.log2(v) / k) * (1.0 + 1e-9)) + 1
         except OverflowError:
-            r = bit_seed
-        while True:
-            s = ((k - 1) * r + v // r ** (k - 1)) // k
-            if s >= r:
-                break
+            r = 1 << -(-bits // k)  # 2^ceil(bits/k) > the root
+        while (s := ((k - 1) * r + v // r ** (k - 1)) // k) < r:
             r = s
     # the float root or Newton is off by at most a few steps; make it exact
     power = r ** k
@@ -77,15 +73,16 @@ def floor_kth_root(v: int, k: int) -> KthRootResult:
 
     v >= 0, k >= 1; r and r^k come from the bracket r^k <= v < (r+1)^k
     that :func:`nearest_power_distance` shares.  k == 2 delegates to
-    math.isqrt.  Below 2^53 the float root v ** (1/k) is within 10^-9
-    of the real root, so its floor is off by at most one and goes
-    straight to the exact correction loops.  Otherwise Newton's method
-    on integers, seeded from a float log when v fits (clamped by the
-    bit-length seed 2^ceil(bits/k), which is always >= the true root),
-    followed by the same correction loops, which end holding r^k and
-    (r+1)^k.  The float seed is inflated by 1e-9 relative so rounding
-    can only land at-or-above the true root, which keeps the descent
-    monotone.
+    math.isqrt.  When v has at most 45k bits the root has at most 45,
+    and the double 2^(log2(v) / k) is within about 10^-14 relative of
+    it, a fraction of one: its floor goes straight to the exact
+    correction loops, which step r down while r^k > v and up while
+    (r+1)^k <= v.  Larger roots run Newton's method on integers first,
+    seeded from the same double inflated by 1e-9 relative, so the seed
+    lies at or above the root and the descent is monotone (from the
+    bit-length bound 2^ceil(bits/k) when the root overflows a double).
+    The answer never rests on the float: the loops always end at
+    r^k <= v < (r+1)^k, holding both powers.
     """
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)

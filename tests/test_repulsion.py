@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 import partgap.repulsion
 from partgap.partitions import build_table, p1
 from partgap.repulsion import (
+    _distances,
     _n_d_from_events,
     _near_power_events_oracle,
+    _power_neighbours,
     delta_series,
     distance_samples,
     limit_L,
@@ -21,7 +23,7 @@ from partgap.repulsion import (
     stabilization_threshold,
     threshold_rows,
 )
-from partgap.roots import delta_k
+from partgap.roots import delta_k, nearest_power_distance
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
@@ -169,6 +171,20 @@ def test_events_complete_and_sound(table_small):
 
 
 cached_table = functools.lru_cache(maxsize=None)(build_table)
+
+
+def test_distances_match_pointwise():
+    # the sweep kernel against one nearest_power_distance per pair, over
+    # each kind of n its callers pass: a range up, a range down, and the
+    # n near the powers y^k, y <= 40, within 10^4
+    values = cached_table(600).values
+    for k in (2, 3, 4, 7, 12, 13, 20, 50, 64):
+        neighbours = list(_power_neighbours(values, k, 10**4, 2, 600, 40))
+        assert neighbours
+        for ns in (range(601), range(600, -1, -1), neighbours):
+            assert list(_distances(values, k, ns)) == [
+                (n, nearest_power_distance(values[n], k)[1]) for n in ns
+            ]
 
 
 @st.composite

@@ -58,6 +58,10 @@ def test_floor_root_near_10_to_300():
         assert r**k <= v < (r + 1) ** k
     assert floor_kth_root(10**300, 3) == (10**100, True)
     assert floor_kth_root(10**300 - 1, 3) == (10**100 - 1, False)
+    # a root past float range: Newton starts from 2^ceil(bits/k)
+    y = (1 << 1100) + 3
+    assert floor_kth_root(y**3, 3) == (y, True)
+    assert floor_kth_root(y**3 - 1, 3) == (y - 1, False)
 
 
 @given(
@@ -87,7 +91,7 @@ def test_nearest_power_exhaustive():
     for k in range(2, 21):
         for v in range(1, 2001):
             assert nearest_power_distance(v, k) == brute_nearest(v, k)
-    # y^k and y^k +- 1 on both sides of 2^53, where the float root stops;
+    # y^k and y^k +- 1 on both sides of 2^53, where doubles stop being exact;
     # the next power is far away, so y is nearest at distance |step|
     for k in range(3, 8):
         y = floor_kth_root((1 << 53) - 1, k).root
@@ -174,8 +178,48 @@ def test_prime_exponents_grow_and_shrink():
     assert prime_exponents_up_to(2) == [2]
 
 
+def bisection_root(v, k):
+    # floor k-th root by integer bisection, sharing nothing with roots.py
+    lo, hi = 0, 1 << (v.bit_length() // k + 1)  # lo^k <= v < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= v:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def assert_root_and_distance(v, k):
+    r = bisection_root(v, k)
+    assert floor_kth_root(v, k) == (r, r**k == v)
+    if v >= 1:
+        below, above = v - r**k, (r + 1) ** k - v
+        want = (r, below) if below <= above else (r + 1, above)
+        assert nearest_power_distance(v, k) == want
+
+
+def test_roots_at_the_float_seed_switch():
+    # a double seeds roots of up to 45 bits and Newton the rest, so
+    # (2^45 - 1)^k has 45k bits and 2^(45k) has 45k + 1
+    for k in range(3, 65):
+        for y in ((1 << 45) - 1, 1 << 45):
+            assert (y**k).bit_length() == 45 * k + (y == 1 << 45)
+            for step in (-1, 0, 1):
+                assert_root_and_distance(y**k + step, k)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**200),
+    st.integers(min_value=3, max_value=128),
+)
+@settings(max_examples=300, deadline=None)
+def test_roots_match_bisection(v, k):
+    assert_root_and_distance(v, k)
+
+
 def test_floor_root_float_edge():
-    # the float path ends below 2^53; check the sandwich on both sides
+    # the sandwich on both sides of 2^53, where a double stops being exact
     top = 1 << 53
     for k in range(3, 60):
         r = floor_kth_root(top - 1, k).root
