@@ -3,7 +3,7 @@
 the frozen reference values.
 
 Computes each artifact of ``partgap.artifacts.REGISTRY`` off one shared
-set of sweeps (a distance series per k, one near-power event sweep),
+set of sweeps (a record walk per k, one near-power event sweep),
 writes it as CSV into --out and prints one OK/MISMATCH line per
 artifact, plus one for the refit of the k = 50 model.  Exits 1 when
 anything differs from the reference.
@@ -15,9 +15,9 @@ import time
 from pathlib import Path
 
 from partgap import artifacts, reference
-from partgap.fitting import evaluate, fit_grid_series
+from partgap.fitting import evaluate, fit_log_poly
 from partgap.partitions import build_table
-from partgap.repulsion import DEFAULT_EXPONENTS, mk_grid
+from partgap.repulsion import DEFAULT_EXPONENTS, threshold_rows
 
 
 def report(name, ok):
@@ -46,9 +46,10 @@ def main(argv=None):
         mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
         all_ok &= report(artifact.name, not mismatches)
 
-    series = shared.series(table, (50,), args.n_max)
-    grid = mk_grid(table, (50,), DEFAULT_EXPONENTS, args.n_max, series=series)
-    refit = fit_grid_series(grid, 50, 5)
+    # the k = 50 walk the figure data took
+    d_values = [10**i for i in DEFAULT_EXPONENTS]
+    rows = threshold_rows(table, d_values, (50,), args.n_max, shared.walks)
+    refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     anchors_ok = all(
         abs(evaluate(refit, d) - m) <= 0.10 * m for d, m in reference.FIT_ANCHORS
     )

@@ -6,11 +6,10 @@ The first ``keys`` columns of a row name it and each further column is
 one cell; :func:`diff` compares cells for the CLI ``--check`` mode,
 ``scripts/reproduce_all.py`` and the acceptance tests.
 
-``shared`` is a :class:`Shared` when several artifacts are computed on
-one table, so each sweep runs once.  With ``None`` every sweep runs
-inside its library call and is dropped after it, which is what one CLI
-command needs: holding all nine distance series at n_max 25000 would
-raise its peak RSS from about 21 to 36 MiB.
+``shared`` is a :class:`Shared`, one per table: it keeps the record
+walk of each k, so artifacts computed on one table walk each k once.
+A CLI command passes a fresh one, ``scripts/reproduce_all.py`` one for
+every artifact and its refit.
 """
 
 from __future__ import annotations
@@ -23,24 +22,15 @@ from . import reference, repulsion
 
 
 class Shared:
-    """The sweeps over one table prefix, each run at most once: a
-    distance series per k and one near-power event set.  Sweeps a caller
-    already holds can seed it."""
+    """What the artifacts computed on one table share: ``walks``, the
+    record walk of each k as :func:`repulsion.threshold_rows` keeps it
+    under (k, n_max), and ``events``, a near-power event set for
+    ``table4``, its only reader.  Left ``None``, ``table4`` sweeps the
+    events itself, after its input checks."""
 
-    def __init__(self, series: dict | None = None, events: repulsion.EventSet | None = None):
-        self._series = dict(series or {})
-        self._events = events
-
-    def series(self, table, ks: Sequence[int], n_max: int) -> dict[int, Sequence[int]]:
-        for k in ks:
-            if k not in self._series:
-                self._series[k] = repulsion.delta_series(table, k, n_max)
-        return {k: self._series[k] for k in ks}
-
-    def events(self, table, d_cap: int, n_max: int) -> repulsion.EventSet:
-        if self._events is None:
-            self._events = repulsion.near_power_events(table, d_cap, n_max)
-        return self._events
+    def __init__(self, events: repulsion.EventSet | None = None):
+        self.walks: dict = {}
+        self.events = events
 
 
 @dataclass(frozen=True)
@@ -94,8 +84,7 @@ def _threshold_table(name: str, published: tuple) -> Artifact:
     d_values = tuple(d for d, _ in published)
 
     def compute(table, n_max, shared):
-        series = shared.series(table, ks, n_max) if shared else None
-        rows = repulsion.threshold_rows(table, d_values, ks, n_max, series)
+        rows = repulsion.threshold_rows(table, d_values, ks, n_max, shared.walks)
         return [[d, *cells] for d, cells in rows]
 
     header = ("d", *("k%d" % k for k in ks))
@@ -108,28 +97,23 @@ def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Art
     if not ks:
         raise ValueError("no reference series for k in %r" % (tuple(k_values),))
     exps = repulsion.DEFAULT_EXPONENTS
+    d_values = [10**i for i in exps]
 
     def compute(table, n_max, shared):
-        series = shared.series(table, ks, n_max) if shared else None
-        grid = repulsion.mk_grid(table, ks, exps, n_max, series)
-        return figure_rows(grid)
+        rows = repulsion.threshold_rows(table, d_values, ks, n_max, shared.walks)
+        return [[i, *cells] for i, (_, cells) in zip(exps, rows)]
 
     header = ("i", *("k%d" % k for k in ks))
     published = zip(exps, *(reference.FIGURE_SERIES[k] for k in ks))
     return Artifact("figure-data", header, 1, compute, tuple(published))
 
 
-def figure_rows(grid: repulsion.MkGrid) -> list[list[int]]:
-    """Rows (i, m for each k) of a grid, the layout of the figure CSV."""
-    return [list(row) for row in zip(grid.d_exponents, *grid.cells)]
-
-
 def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
     """The runs of n_d over 0..d_max, against the reference runs clipped there."""
 
     def compute(table, n_max, shared):
-        events = shared.events(table, d_max, n_max) if shared else None
-        return [list(run) for run in repulsion.n_d_intervals(table, d_max, n_max, events)]
+        runs = repulsion.n_d_intervals(table, d_max, n_max, shared.events)
+        return [list(run) for run in runs]
 
     runs = reference.TABLE4_INTERVALS
     clipped = tuple((lo, min(hi, d_max), n) for lo, hi, n in runs if lo <= d_max)

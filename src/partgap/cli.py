@@ -139,7 +139,7 @@ def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
 def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
     """Compute an artifact's rows, then check them or print them
     (``json_of(rows)`` is the object ``--format json`` prints)."""
-    rows = artifact.compute(_acquire_table(args, n_max), n_max, None)
+    rows = artifact.compute(_acquire_table(args, n_max), n_max, artifacts.Shared())
     if args.check:
         return _check_outcome(artifact, rows)
     _emit_table(args, artifact.header, rows, json_of(rows))
@@ -233,7 +233,7 @@ def cmd_figure_data(args) -> int:
     _emit_table(
         args,
         ["i", *["k%d" % k for k in grid.k_values]],
-        artifacts.figure_rows(grid),
+        [list(row) for row in zip(grid.d_exponents, *grid.cells)],
         {
             "n_max": grid.n_max,
             "d_exponents": list(grid.d_exponents),

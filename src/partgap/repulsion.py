@@ -69,22 +69,14 @@ def delta_series(
     return [dist for _, dist in _distances(table.values, k, range(hi + 1))]
 
 
-def _records(
-    table: PartitionTable, k: int, hi: int, series: Sequence[int] | None
-) -> Iterator[tuple[int, int]]:
+def _records(table: PartitionTable, k: int, hi: int) -> Iterator[tuple[int, int]]:
     # Walking n = hi..0, yield (distance, n) at each new minimum distance.
     # The largest n with distance <= d is always one of these records, so
     # every threshold query is the first record <= d, or a bisect over all
     # of them.  Distance 0 can fall no further, so the walk stops there;
     # p(1) = 1^k guarantees it does by n = 1.
-    if series is not None and len(series) < hi + 1:
-        raise ValueError(
-            "series for k=%d covers n <= %d, need n_max=%d" % (k, len(series) - 1, hi)
-        )
-    ns = range(hi, -1, -1)
-    walk = _distances(table.values, k, ns) if series is None else ((n, series[n]) for n in ns)
     current = None
-    for n, dist in walk:
+    for n, dist in _distances(table.values, k, range(hi, -1, -1)):
         if current is None or dist < current:
             current = dist
             yield dist, n
@@ -92,18 +84,12 @@ def _records(
                 return
 
 
-def m_k_d(
-    table: PartitionTable,
-    k: int,
-    d: int,
-    n_max: int | None = None,
-    series: Sequence[int] | None = None,
-) -> int:
+def m_k_d(table: PartitionTable, k: int, d: int, n_max: int | None = None) -> int:
     """Largest n <= n_max with p(n) within distance d of a k-th power.
 
     Always defined for d >= 0: p(1) = 1 is exactly 1^k, so the answer is
-    at least 1.  Walks down from the top, reading ``series`` when given
-    and taking roots otherwise, and stops at the first qualifying n.
+    at least 1.  Walks down from the top and stops at the first
+    qualifying n.
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
@@ -111,7 +97,7 @@ def m_k_d(
         raise ValueError("k must be >= 2, got %d" % k)
     hi = _effective_n_max(table, n_max)
     # the walk ends at distance 0 <= d, so a record always qualifies
-    return next(n for dist, n in _records(table, k, hi, series) if dist <= d)
+    return next(n for dist, n in _records(table, k, hi) if dist <= d)
 
 
 @dataclass(frozen=True)
@@ -141,14 +127,11 @@ def mk_grid(
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     d_exponents: Sequence[int] = DEFAULT_EXPONENTS,
     n_max: int | None = None,
-    series: dict[int, Sequence[int]] | None = None,
 ) -> MkGrid:
     """Evaluate m_k_d over the power-of-ten grid, one record walk per k.
 
     This is :func:`threshold_rows` at d = 10^i, transposed to one series
-    per k, so the k must be distinct.  ``series`` may carry precomputed
-    distance series keyed by k; the walks then read them instead of
-    taking roots.
+    per k, so the k must be distinct.
     """
     if len(k_values) == 0:
         raise ValueError("k_values must be non-empty")
@@ -157,7 +140,7 @@ def mk_grid(
     if any(i < 0 for i in d_exponents):
         raise ValueError("d exponents must be >= 0")
     thresholds = [10 ** i for i in d_exponents]
-    rows = threshold_rows(table, thresholds, k_values, n_max, series)
+    rows = threshold_rows(table, thresholds, k_values, n_max)
     return MkGrid(
         k_values=tuple(k_values),
         d_exponents=tuple(d_exponents),
@@ -171,25 +154,30 @@ def threshold_rows(
     d_values: Sequence[int],
     k_values: Sequence[int] = DEFAULT_K_VALUES,
     n_max: int | None = None,
-    series: dict[int, Sequence[int]] | None = None,
+    walks: dict | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
 
     The published grids mix a d = 0 row with powers of ten; this is the
     row-oriented builder for those layouts.  Each k is one full record
-    walk (see :func:`m_k_d`), bisected at every d.
+    walk (see :func:`m_k_d`), bisected at every d.  ``walks`` is a cache
+    a caller keeps across calls on one table: each walk is stored there
+    under (k, n_max), as its distances and its n in ascending order of
+    distance, and read back instead of taken again.
     """
     hi = _effective_n_max(table, n_max)
     if any(k < 2 for k in k_values):
         raise ValueError("every k must be >= 2")
     if any(d < 0 for d in d_values):
         raise ValueError("thresholds must be >= 0")
+    walks = {} if walks is None else walks
     cols = []
     for k in k_values:
-        walk = list(_records(table, k, hi, series.get(k) if series else None))[::-1]
-        dists = [dist for dist, _ in walk]
+        if (k, hi) not in walks:
+            walks[k, hi] = tuple(zip(*reversed(list(_records(table, k, hi)))))
+        dists, ns = walks[k, hi]
         # the walk's last record has distance 0, so the bisect never misses
-        cols.append([walk[bisect.bisect_right(dists, d) - 1][1] for d in d_values])
+        cols.append([ns[bisect.bisect_right(dists, d) - 1] for d in d_values])
     return [(d, tuple(col[i] for col in cols)) for i, d in enumerate(d_values)]
 
 

@@ -282,11 +282,14 @@ def check_exceptional_powers(
     With no table given, one long enough for every value is built once
     and cut to p(0..index_covering(max value)), so each check is
     conclusive.  A table that cannot decide some value is rejected with
-    the n_max that would suffice.
+    the n_max that would suffice, and an empty list, which would pass
+    without checking anything, with a ValueError.
     """
     tuples = tuple(tuples)
+    if not tuples:
+        raise ValueError("no exceptional tuples to check")
     values = [t.base ** t.power for t in tuples]
-    need = max(values, default=1)
+    need = max(values)
     if table is None:
         covering = _covering_table(need)
         n = max(bisect.bisect_left(covering.values, need), 1)

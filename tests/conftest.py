@@ -1,7 +1,8 @@
 import pytest
 
+from partgap.artifacts import Shared
 from partgap.partitions import build_table
-from partgap.repulsion import DEFAULT_K_VALUES, delta_series, near_power_events
+from partgap.repulsion import near_power_events
 
 
 @pytest.fixture(scope="session")
@@ -20,9 +21,9 @@ def table25k():
 
 
 @pytest.fixture(scope="session")
-def deltas25k(table25k):
-    # one distance series per default k, shared by the table checks
-    return {k: delta_series(table25k, k, 25000) for k in DEFAULT_K_VALUES}
+def shared25k():
+    # one record walk per k over table25k, shared by the threshold checks
+    return Shared()
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,9 @@ import time
 
 from partgap import reference
 from partgap.artifacts import TABLE1, TABLE2, TABLE3, Shared, diff, figure_data, table4
-from partgap.fitting import LogPolyModel, evaluate, fit_grid_series
+from partgap.fitting import LogPolyModel, evaluate, fit_log_poly
 from partgap.partitions import build_table, count_partitions_oracle, p1, psi
-from partgap.repulsion import mk_grid, n_d_batch
+from partgap.repulsion import n_d_batch, threshold_rows
 from partgap.roots import floor_kth_root
 from partgap.witnesses import (
     bundled_exceptional_list,
@@ -31,17 +31,17 @@ def test_criterion_01_table1_exact():
     print("criterion 1 PASS: table 1 exact, %d cells" % len(TABLE1.want))
 
 
-def test_criterion_02_table2_exact(table25k, deltas25k):
-    rows = TABLE2.compute(table25k, 25000, Shared(series=deltas25k))
+def test_criterion_02_table2_exact(table25k, shared25k):
+    rows = TABLE2.compute(table25k, 25000, shared25k)
     assert diff(TABLE2.cells(rows), TABLE2.want) == []
     print(
         "criterion 2 PASS: table 2 exact, %d cells at n_max=25000" % len(TABLE2.want)
     )
 
 
-def test_criterion_03_figure_series_exact(table25k, deltas25k):
+def test_criterion_03_figure_series_exact(table25k, shared25k):
     artifact = figure_data((2,))
-    rows = artifact.compute(table25k, 25000, Shared(series=deltas25k))
+    rows = artifact.compute(table25k, 25000, shared25k)
     assert diff(artifact.cells(rows), artifact.want) == []
     coords = dict(rows)
     assert coords[3] == 143
@@ -50,8 +50,8 @@ def test_criterion_03_figure_series_exact(table25k, deltas25k):
     print("criterion 3 PASS: figure series for k=2 exact, %d points" % len(rows))
 
 
-def test_criterion_04_table3_exact(table25k, deltas25k):
-    rows = TABLE3.compute(table25k, 25000, Shared(series=deltas25k))
+def test_criterion_04_table3_exact(table25k, shared25k):
+    rows = TABLE3.compute(table25k, 25000, shared25k)
     assert diff(TABLE3.cells(rows), TABLE3.want) == []
     cells = {d: tuple(row) for d, *row in rows}
     assert cells[2][reference.REFERENCE_K_VALUES.index(4)] == 20
@@ -156,7 +156,7 @@ def test_criterion_12_root_correctness():
     print("criterion 12 PASS: exhaustive roots to 10^6 and 10^4 random sandwiches")
 
 
-def test_criterion_13_fit_evaluation(table25k, deltas25k):
+def test_criterion_13_fit_evaluation(table25k, shared25k):
     published = LogPolyModel(
         degree=5,
         coefficients=reference.PUBLISHED_DEG5_WINDOW70,
@@ -165,8 +165,9 @@ def test_criterion_13_fit_evaluation(table25k, deltas25k):
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(published, d)
         assert abs(got - m) <= 0.05 * m, "published model off at d=%d" % d
-    grid = mk_grid(table25k, (50,), range(0, 71), 25000, series=deltas25k)
-    refit = fit_grid_series(grid, 50, 5)
+    d_values = [10**i for i in range(0, 71)]
+    rows = threshold_rows(table25k, d_values, (50,), 25000, shared25k.walks)
+    refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(refit, d)
         assert abs(got - m) <= 0.10 * m, "refit off at d=%d" % d

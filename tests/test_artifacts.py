@@ -79,15 +79,23 @@ def test_reproduce_all_writes_every_table(tmp_path):
     assert sorted(os.listdir(tmp_path)) == sorted(HEADERS)
     for name, header in HEADERS.items():
         assert (tmp_path / name).read_text().splitlines()[0] == header
+    # the script's tables are what the CLI prints at --n-max 300 (table4
+    # is left out: the CLI default --d-max stops short of the registry's)
+    for i in (1, 2, 3):
+        golden = os.path.join(os.path.dirname(__file__), "golden", "table%d-csv.txt" % i)
+        with open(golden, "rb") as fh:
+            assert (tmp_path / ("table%d.csv" % i)).read_bytes() == fh.read()
 
 
 def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
+    # one record walk per k serves tables 2 and 3, the figure data and
+    # the refit; no distance series is taken
     calls = collections.Counter()
-    for name in ("delta_series", "near_power_events"):
+    for name in ("_records", "delta_series", "near_power_events"):
         real = getattr(partgap.repulsion, name)
 
         def counted(table, k_or_cap, *rest, _real=real, _name=name):
-            calls[_name, k_or_cap if _name == "delta_series" else None] += 1
+            calls[_name, k_or_cap if _name == "_records" else None] += 1
             return _real(table, k_or_cap, *rest)
 
         monkeypatch.setattr(partgap.repulsion, name, counted)
@@ -96,7 +104,7 @@ def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
     spec.loader.exec_module(script)
     assert script.main(["--n-max", "300", "--out", str(tmp_path)]) == 1
     assert calls == {
-        **{("delta_series", k): 1 for k in reference.REFERENCE_K_VALUES},
+        **{("_records", k): 1 for k in reference.REFERENCE_K_VALUES},
         ("near_power_events", None): 1,
     }
 

@@ -252,6 +252,17 @@ def test_verify_bs_custom_list(capsys, tmp_path):
     assert out.count("not a partition number") == 1
 
 
+def test_verify_bs_empty_list(capsys, tmp_path):
+    # a list of comments only checks nothing, so it cannot pass
+    path = tmp_path / "empty.txt"
+    path.write_text("# nothing listed\n")
+    assert run(capsys, "verify-bs", "--bs-list", str(path)) == (
+        2,
+        "",
+        "error: no exceptional tuples to check\n",
+    )
+
+
 def test_verify_bs_malformed_list(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1 3\n")

@@ -5,12 +5,10 @@ import pytest
 from partgap.fitting import (
     LogPolyModel,
     evaluate,
-    fit_grid_series,
     fit_log_poly,
-    grid_points,
     model_as_dict,
 )
-from partgap.repulsion import mk_grid
+from partgap.repulsion import threshold_rows
 
 
 def test_recovers_exact_polynomial():
@@ -40,10 +38,11 @@ def test_higher_degree_never_fits_worse():
         assert b <= a + 1e-9
 
 
-def test_residuals_orthogonal_to_design(table25k, deltas25k):
-    grid = mk_grid(table25k, (50,), range(0, 71), 25000, series=deltas25k)
-    model = fit_grid_series(grid, 50, 5)
-    pts = grid_points(grid, 50)
+def test_residuals_orthogonal_to_design(table25k, shared25k):
+    d_values = [10**i for i in range(0, 71)]
+    rows = threshold_rows(table25k, d_values, (50,), 25000, shared25k.walks)
+    pts = [(d, m) for d, (m,) in rows]
+    model = fit_log_poly(pts, 5)
     residual = [v - evaluate(model, d) for d, v in pts]
     y_norm = math.hypot(*(v for _, v in pts))
     for j in range(6):

@@ -49,7 +49,6 @@ def test_m_k_d_matches_brute_force(table_small):
         series = delta_series(table_small, k, 120)
         for d in (0, 1, 2, 5, 10, 100, 10**6, 10**40):
             assert m_k_d(table_small, k, d) == brute_m_k_d(series, d)
-            assert m_k_d(table_small, k, d, series=series) == brute_m_k_d(series, d)
 
 
 def test_m_k_d_witness_and_exclusion(table_small):
@@ -73,13 +72,6 @@ def test_m_k_d_floor_is_one(table_small):
     # p(0) = p(1) = 1 is every k-th power, so n = 1 qualifies at d = 0
     for k in (2, 3, 11, 200):
         assert m_k_d(table_small, k, 0) >= 1
-
-
-def test_m_k_d_accepts_precomputed_series(table_small):
-    series = delta_series(table_small, 3, 120)
-    assert m_k_d(table_small, 3, 7, series=series) == m_k_d(table_small, 3, 7)
-    with pytest.raises(ValueError):
-        m_k_d(table_small, 3, 7, series=series[:-1])
 
 
 def test_grid_cells_monotone_and_consistent(table_small):
@@ -185,6 +177,41 @@ def test_distances_match_pointwise():
             assert list(_distances(values, k, ns)) == [
                 (n, nearest_power_distance(values[n], k)[1]) for n in ns
             ]
+
+
+thresholds = st.lists(
+    st.integers(min_value=0, max_value=10**4)
+    | st.integers(min_value=0, max_value=40).map(lambda i: 10**i),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=600),
+    st.integers(min_value=1, max_value=600),
+    st.lists(st.integers(min_value=2, max_value=70), min_size=1, max_size=4, unique=True),
+    thresholds,
+    thresholds,
+)
+@settings(max_examples=40, deadline=None)
+def test_threshold_rows_from_shared_walks(size, other, ks, d_first, d_second):
+    # one cache across two d sets, two k orders and a second n_max: each
+    # answer equals a fresh call and max{n : distance <= d} by brute force
+    table = cached_table(600)
+    walks = {}
+    for n_max, k_values, d_values in (
+        (size, ks, d_first),
+        (size, ks[::-1], d_second),
+        (other, ks, d_first),
+    ):
+        rows = threshold_rows(table, d_values, k_values, n_max, walks)
+        assert rows == threshold_rows(table, d_values, k_values, n_max)
+        for j, k in enumerate(k_values):
+            dists = [nearest_power_distance(table.p(n), k)[1] for n in range(n_max + 1)]
+            for d, cells in rows:
+                assert cells[j] == max(n for n, dist in enumerate(dists) if dist <= d)
+    assert set(walks) == {(k, n) for k in ks for n in (size, other)}
 
 
 @st.composite
@@ -414,8 +441,9 @@ def test_distance_samples(table_small):
         )
 
 
-def test_spot_values_at_full_size(table25k, deltas25k):
-    assert m_k_d(table25k, 2, 1, series=deltas25k[2]) == 35
-    assert m_k_d(table25k, 50, 0, series=deltas25k[50]) == 1
-    assert m_k_d(table25k, 50, 1, series=deltas25k[50]) == 2
-    assert m_k_d(table25k, 100, 10**70, series=deltas25k[100]) == 4502
+def test_spot_values_at_full_size(table25k, shared25k):
+    rows = dict(threshold_rows(table25k, (0, 1, 10**70), (2, 50, 100), 25000, shared25k.walks))
+    assert rows[1][0] == 35  # k = 2, d = 1
+    assert rows[0][1] == 1  # k = 50, d = 0
+    assert rows[1][1] == 2  # k = 50, d = 1
+    assert rows[10**70][2] == 4502  # k = 100, d = 10^70

@@ -196,6 +196,12 @@ def test_check_rejects_short_table(table_small):
     assert "n_max" in str(err.value)
 
 
+def test_check_rejects_empty_list(table_small):
+    for table in (None, table_small):
+        with pytest.raises(ValueError, match="no exceptional tuples"):
+            check_exceptional_powers((), table)
+
+
 def test_check_flags_planted_hit():
     # doctor one table entry to equal 3^3; ordering stays intact
     values = list(build_table(200).values)
