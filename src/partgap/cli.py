@@ -148,7 +148,14 @@ def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> in
 
 # ---------------------------------------------------------------- pn
 
+def _require_n(n: int) -> None:
+    # checked before any table is built or cached
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
+
+
 def cmd_pn(args) -> int:
+    _require_n(args.n)
     table = _acquire_table(args, max(args.n, 1))
     value = table.p(args.n)
     print(value)
@@ -170,6 +177,9 @@ def cmd_pn(args) -> int:
 # ------------------------------------------------------------- delta
 
 def cmd_delta(args) -> int:
+    _require_n(args.n)
+    if args.k < 2:
+        raise ValueError("k must be >= 2, got %d" % args.k)
     table = _acquire_table(args, max(args.n, 1))
     record = delta_k(table, args.n, args.k)
     if args.verbose:

@@ -17,7 +17,10 @@ one root bracket per value, lazily and in the order asked.  A distance
 series reads it over n = 0..n_max, a threshold walk over n = n_max..0
 (stopping early), and the near-power event sweep over every n below
 the freeze bound for small k, or for large k over the few n whose p(n)
-lies near one of the k-th powers below p(n_max).
+lies near one of the k-th powers below p(n_max).  Where a k-th root of
+p(n_max) fits 40 bits, the sweep first screens each p(n) with a double,
+p(n)^(1/k) against the nearest integer, and brackets only the p(n) the
+screen cannot prove farther than the cap from every k-th power.
 ``_near_power_events_oracle`` and ``distance_samples`` keep one
 ``nearest_power_distance`` call per pair, so the oracle stays
 independent of the kernel.  The work is paid once and shared by every
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -326,6 +330,73 @@ def _power_neighbours(
         yield from range(start, lo)
 
 
+# The float screen.  For v = p(n) with z = v^(1/k) < 2^b, b <= 40, the
+# double x = 2.0 ** (math.log2(v) / k) lies within 2^(b-46) of z:
+#
+# * math.log2 of an int rounds it to 53 bits, or past the double range
+#   rounds its mantissa m in [1/2, 1) to 53 bits and returns
+#   log2(m) + e, one more rounding.  Rounding v moves log2 v by at most
+#   2^-53 / ln 2 < 2^-52.  The C library's log2 and pow are taken to be
+#   within one ulp (2^-52 relative), an assumption the tests check by
+#   measuring the whole chain against the bound below.  So
+#   L = math.log2(v) is off by at most 2^-52 (log2 v + 2).
+# * L / k rounds once more, so it is off from t = log2 z by at most
+#   2^-52 (t + 2/k) + 2^-53 t <= 2^-52 (1.5 t + 1) < 61 * 2^-52.
+# * 2.0 ** (L / k) multiplies z by 2^(that error) and by one more ulp:
+#   a relative error below (61 ln 2 + 1) 2^-52 < 44 * 2^-52 = 2^-46.5.
+#
+# _SCREEN_REL = 2^-46 rounds that up.  Second, past a cut the d_cap
+# window in x is at most w = 2^-_SCREEN_WINDOW = 2^-12.  Take an integer
+# y with |v - y^k| <= d_cap and z >= B, where B >= 2 and
+# k (B-1)^(k-1) >= d_cap / w.  If y <= z - 1, then
+# v - y^k >= z^k - (z-1)^k >= k (z-1)^(k-1) >= k (B-1)^(k-1) > d_cap
+# for d_cap >= 1 (and d_cap = 0 means y = z), so y > z - 1.  By the mean
+# value theorem |z - y| = |v - y^k| / (k xi^(k-1)) for some xi between
+# y and z, so xi > z - 1 >= B - 1, and
+# |z - y| <= d_cap / (k (B-1)^(k-1)) <= w.
+#
+# Hence every such n has an integer within tol = 2^(b-46) + w of x,
+# and x % 1.0 lies in [0, tol] or [1 - tol, 1).  Both x % 1.0 (fmod of
+# doubles) and tol and 1 - tol (sums of powers of two spanning under 53
+# bits) are exact, so the test drops an n only when its distance
+# provably exceeds d_cap.  Below the cut (p(n) < B^k) the window is too
+# wide for the screen to pay, and those n go to the exact bracket.  The
+# choice of w only trades those n against the screen's survivors: 2^-12
+# brackets the fewest at n_max 3000 and 25000 with d_cap 270343.
+_SCREEN_BITS = 40
+_SCREEN_REL = 2.0 ** -46
+_SCREEN_WINDOW = 12
+# Listing one power y^k and bisecting for its window costs about as
+# much as screening six p(n) (1.2 against 0.2 us at n_max 3000 and
+# 25000), so the screen also takes the k whose bases number at least a
+# sixth of the suffix.
+_SCREEN_COST = 6
+
+
+def _screen_base(k: int, d_cap: int) -> int:
+    # B >= 2 with k (B-1)^(k-1) >= d_cap 2^_SCREEN_WINDOW, the smallest
+    # one when d_cap >= 1: (B-1)^(k-1) must reach ceil(d_cap 2^12 / k)
+    need = -(-(d_cap << _SCREEN_WINDOW) // k)
+    return floor_kth_root(max(need - 1, 0), k - 1).root + 2
+
+
+def _screened(
+    values: Sequence[int], logs: Sequence[float], k: int, d_cap: int, lo: int, hi: int
+) -> list[int]:
+    # The n in lo..hi, ascending, that the float screen cannot prove more
+    # than d_cap from every k-th power (see above), for p(hi)^(1/k) below
+    # 2^_SCREEN_BITS; logs[n] is math.log2(values[n]).
+    bits = -(-values[hi].bit_length() // k)  # p(n)^(1/k) < 2^bits
+    cut = bisect.bisect_left(values, _screen_base(k, d_cap) ** k, lo, hi + 1)
+    tol = _SCREEN_REL * 2.0 ** bits + 2.0 ** -_SCREEN_WINDOW
+    far = 1.0 - tol
+    return list(range(lo, cut)) + [
+        n
+        for n, log in zip(range(cut, hi + 1), logs[cut : hi + 1])
+        if not tol < 2.0 ** (log / k) % 1.0 < far
+    ]
+
+
 def near_power_events(
     table: PartitionTable, d_cap: int, n_max: int | None = None
 ) -> EventSet:
@@ -334,17 +405,29 @@ def near_power_events(
     Runs per k.  The n with k below their freeze bound are those with
     p(n) > 2^(k-1), a suffix of the table found by bisection.  A p(n)
     within d_cap of a k-th power is within d_cap of some y^k with
-    1 <= y <= Y = floor((p(n_max) + d_cap)^(1/k)), so two regimes give
-    the same events:
+    1 <= y <= Y = floor((p(n_max) + d_cap)^(1/k)).  Each k takes one of
+    three paths, all giving the oracle's events:
 
-    * small k (Y at least the suffix length): one exact root per p(n),
-      as in :func:`_near_power_events_oracle`;
-    * large k: list y^k for y = 1..Y, bisect the suffix for p(n) within
-      d_cap of each, and take exact roots of those candidates only.
+    * the float screen, where p(n_max)^(1/k) is below 2^40 and Y is at
+      least a sixth of the suffix length (below);
+    * else, when Y is below the suffix length, list y^k for y = 1..Y,
+      bisect the suffix for p(n) within d_cap of each, and take exact
+      roots of those candidates only;
+    * else one exact root per p(n), as in
+      :func:`_near_power_events_oracle`.
+
+    The screen takes L(n) = math.log2(p(n)) once per n and, per k, the
+    double x = 2^(L(n)/k).  Its error, derived from the roundings of
+    log2, the division and the power, is below 2^-46 relative.  Past a
+    cut, every base y with y^k within d_cap of p(n) lies within 2^-12 of
+    p(n)^(1/k), so an n whose x is farther from every integer than both
+    bounds together is provably more than d_cap from every k-th power
+    and is dropped; every other n, and every n below the cut, gets the
+    exact bracket.  So the screen only skips pairs that could not be
+    events.
 
     Each n is examined at most once per k, so no d_cap costs more roots
-    than the oracle (plus one per k for Y).  At n_max 25000 the large k
-    cover most pairs and the small-k roots dominate.  The result lists
+    than the oracle (plus one per k for Y).  The result lists
     events in (n, k) order, and one heap sweep over them gives its
     ``runs``: n_d at every d <= min(d_cap, p(n_max) - 2), which the n_d
     family then reads by bisection.
@@ -355,14 +438,18 @@ def near_power_events(
     values = table.values
     top = values[hi]
     events: list[NearPowerEvent] = []
+    logs = [math.log2(v) for v in values[: hi + 1]]
     for k in range(2, (2 * top - 1).bit_length()):
         # k < freeze bound (2 p(n) - 1).bit_length()  <=>  p(n) > 2^(k-1)
         first = bisect.bisect_right(values, 1 << (k - 1), 2, hi + 1)
         bases = floor_kth_root(top + d_cap, k).root
-        if bases >= hi + 1 - first:
-            candidates = range(first, hi + 1)
-        else:
+        suffix = hi + 1 - first
+        if top.bit_length() <= _SCREEN_BITS * k and _SCREEN_COST * bases >= suffix:
+            candidates = _screened(values, logs, k, d_cap, first, hi)
+        elif bases < suffix:
             candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
+        else:
+            candidates = range(first, hi + 1)
         for n, dist in _distances(values, k, candidates):
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))

@@ -45,6 +45,18 @@ def test_pn_negative_is_usage_error(capsys):
         assert err.startswith("error:")
 
 
+def test_bad_input_writes_no_cache(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for argv, message in (
+        (("pn", "-5"), "n must be >= 0, got -5"),
+        (("delta", "-1", "2"), "n must be >= 0, got -1"),
+        (("delta", "5", "1"), "k must be >= 2, got 1"),
+    ):
+        code, out, err = run(capsys, *argv, "--cache", str(cache))
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert not cache.exists()
+
+
 def test_pn_estimate(capsys):
     code, out, _ = run(capsys, "pn", "100", "--estimate")
     assert code == 0

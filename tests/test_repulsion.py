@@ -1,16 +1,21 @@
+import fractions
 import functools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partgap.repulsion
-from partgap.partitions import build_table, p1
+from partgap.partitions import PartitionTable, build_table, p1
 from partgap.repulsion import (
+    _SCREEN_REL,
     _distances,
     _n_d_from_events,
     _near_power_events_oracle,
     _power_neighbours,
+    _screen_base,
     delta_series,
     distance_samples,
     limit_L,
@@ -23,7 +28,7 @@ from partgap.repulsion import (
     stabilization_threshold,
     threshold_rows,
 )
-from partgap.roots import delta_k, nearest_power_distance
+from partgap.roots import delta_k, floor_kth_root, nearest_power_distance
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
@@ -250,6 +255,91 @@ def test_events_oracle_edges(table_small):
         near_power_events(table_small, -1)
     with pytest.raises(ValueError):
         near_power_events(table_small, 0, n_max=121)
+
+
+def test_screen_float_error_within_derived_bound():
+    # x = 2^(log2(v) / k) against z = v^(1/k), known to 2^-64 from an
+    # integer root, for z below 2^40: |x - z| <= _SCREEN_REL z
+    rng = random.Random(11)
+    for _ in range(3000):
+        k = rng.randrange(2, 60)
+        y = rng.randrange(2, 1 << rng.randrange(2, 41))
+        v = y**k + rng.choice((0, 1, -1, -rng.randrange(y**k // 2)))
+        x = fractions.Fraction(2.0 ** (math.log2(v) / k))
+        low = fractions.Fraction(floor_kth_root(v << (64 * k), k).root, 1 << 64)
+        err = max(abs(x - low), abs(x - low - fractions.Fraction(1, 1 << 64)))
+        assert err <= _SCREEN_REL * low
+
+
+def power_table(k, roots, d_cap):
+    # strictly increasing: 1, 1, then y^k + j for j in 0, +-d_cap,
+    # +-(d_cap + 1), so some p(n) sit exactly at the cap and just past it
+    offsets = (0, d_cap, -d_cap, d_cap + 1, -d_cap - 1)
+    values = sorted({y**k + j for y in roots for j in offsets if y**k + j > 1})
+    return PartitionTable(values=(1, 1, *values), n_max=len(values) + 1)
+
+
+def screened_ks(monkeypatch):
+    # the k the sweep hands to the float screen, recorded per call
+    seen = []
+    screened = partgap.repulsion._screened
+
+    def record(values, logs, k, *rest):
+        seen.append(k)
+        return screened(values, logs, k, *rest)
+
+    monkeypatch.setattr(partgap.repulsion, "_screened", record)
+    return seen
+
+
+@pytest.mark.parametrize("k", (3, 7))
+@pytest.mark.parametrize("d_cap", (0, 1, 270343))
+def test_screen_at_the_40_bit_switch(monkeypatch, k, d_cap):
+    # roots just below 2^40 are screened with the widest tolerance; a
+    # table reaching a root of 2^40 is not screened for that k at all
+    seen = screened_ks(monkeypatch)
+    below = power_table(k, range(2**40 - 8, 2**40), d_cap)
+    across = power_table(k, (2**40 - 1, 2**40, 2**40 + 1), d_cap)
+    for table, screened in ((below, True), (across, False)):
+        seen.clear()
+        events = near_power_events(table, d_cap)
+        assert events == _near_power_events_oracle(table, d_cap)
+        assert (k in seen) == screened
+        assert {e.distance for e in events.events if e.k == k} >= {0, d_cap}
+
+
+@pytest.mark.parametrize("k, d_cap", ((3, 1), (3, 270343), (5, 270343), (7, 270343)))
+def test_screen_at_the_window_cut(monkeypatch, k, d_cap):
+    # roots B - 1, B, B + 1 around the base where the screen takes over
+    # from the exact prefix: at B the d_cap window nearly fills 2^-12
+    seen = screened_ks(monkeypatch)
+    base = _screen_base(k, d_cap)
+    table = power_table(k, (base - 1, base, base + 1), d_cap)
+    events = near_power_events(table, d_cap)
+    assert events == _near_power_events_oracle(table, d_cap)
+    assert k in seen
+    edge = {(e.n, e.distance) for e in events.events if e.k == k}
+    for y in (base, base + 1):
+        for j in (d_cap, -d_cap):
+            assert (table.values.index(y**k + j), d_cap) in edge
+
+
+def test_screen_stays_live(monkeypatch):
+    # the screen leaves about 11,100 exact brackets at n_max 3000; one
+    # per pair on every k it takes would make about 44,800
+    table = cached_table(3000)
+    expected = _near_power_events_oracle(table, 270343)
+    calls = []
+    bracket = partgap.repulsion._bracket
+
+    def counted(v, k):
+        calls.append(k)
+        return bracket(v, k)
+
+    monkeypatch.setattr(partgap.repulsion, "_bracket", counted)
+    assert near_power_events(table, 270343) == expected
+    assert len(expected.events) == 843
+    assert len(calls) < 15000
 
 
 def brute_n_d(table, d, n_max):
