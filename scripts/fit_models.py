@@ -12,9 +12,9 @@ import sys
 import time
 
 from partgap import reference
-from partgap.fitting import LogPolyModel, evaluate, fit_grid_series
+from partgap.fitting import LogPolyModel, evaluate, fit_log_poly
 from partgap.partitions import build_table
-from partgap.repulsion import mk_grid
+from partgap.repulsion import threshold_rows
 
 SHAPES = (
     (3, 12, reference.PUBLISHED_DEG3_WINDOW12),
@@ -27,14 +27,16 @@ def main():
     ap.add_argument("--n-max", type=int, default=25000)
     ap.add_argument("--k", type=int, default=50)
     args = ap.parse_args()
+    if args.n_max < 1:
+        ap.error("--n-max must be >= 1, got %d" % args.n_max)
 
     t0 = time.time()
     table = build_table(args.n_max)
     print("table ready in %.1fs" % (time.time() - t0))
 
     for degree, window, published_coeffs in SHAPES:
-        sub = mk_grid(table, (args.k,), range(0, window + 1), args.n_max)
-        model = fit_grid_series(sub, args.k, degree)
+        rows = threshold_rows(table, [10**i for i in range(window + 1)], (args.k,))
+        model = fit_log_poly([(d, m) for d, (m,) in rows], degree)
         published = LogPolyModel(
             degree=degree,
             coefficients=published_coeffs,

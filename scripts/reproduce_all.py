@@ -19,6 +19,10 @@ from partgap.fitting import evaluate, fit_log_poly
 from partgap.partitions import build_table
 from partgap.repulsion import DEFAULT_EXPONENTS, threshold_rows
 
+# Table 1 reads p(10..50), and table 4's runs reach d = 270343, which
+# needs p(n_max) - 2 >= 270343: p(51) = 239943, p(52) = 281589.
+MIN_N_MAX = 52
+
 
 def report(name, ok):
     print("%-12s %s" % (name, "OK" if ok else "MISMATCH"))
@@ -30,6 +34,8 @@ def main(argv=None):
     ap.add_argument("--out", default="reproduction", help="output directory")
     ap.add_argument("--n-max", type=int, default=25000)
     args = ap.parse_args(argv)
+    if args.n_max < MIN_N_MAX:
+        ap.error("--n-max must be >= %d, got %d" % (MIN_N_MAX, args.n_max))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -40,7 +46,7 @@ def main(argv=None):
     shared = artifacts.Shared()
     all_ok = True
     for artifact in artifacts.REGISTRY:
-        rows = artifact.compute(table, args.n_max, shared)
+        rows = artifact.compute(table, shared)
         with open(out / ("%s.csv" % artifact.name.replace("-", "_")), "w", newline="") as fh:
             artifacts.write_csv(fh, artifact.header, rows)
         mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
@@ -48,7 +54,7 @@ def main(argv=None):
 
     # the k = 50 walk the figure data took
     d_values = [10**i for i in DEFAULT_EXPONENTS]
-    rows = threshold_rows(table, d_values, (50,), args.n_max, shared.walks)
+    rows = threshold_rows(table, d_values, (50,), shared.walks)
     refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     anchors_ok = all(
         abs(evaluate(refit, d) - m) <= 0.10 * m for d, m in reference.FIT_ANCHORS

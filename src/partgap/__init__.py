@@ -1,6 +1,6 @@
 """Exact partition numbers and their distances to perfect powers."""
 
-from .fitting import LogPolyModel, evaluate, fit_grid_series, fit_log_poly
+from .fitting import LogPolyModel, evaluate, fit_log_poly
 from .partitions import (
     PartitionTable,
     build_table,
@@ -14,17 +14,15 @@ from .partitions import (
 )
 from .repulsion import (
     EventSet,
-    MkGrid,
     StabilizationCert,
-    delta_series,
     limit_L,
     m_k_d,
-    mk_grid,
     n_d,
     n_d_batch,
     n_d_intervals,
     near_power_events,
     stabilization_threshold,
+    threshold_rows,
 )
 from .roots import (
     DistanceRecord,

@@ -1,7 +1,8 @@
 """The paper's tables as artifacts, and the one comparison with ``reference``.
 
-An artifact has a name, its CSV header, ``compute(table, n_max, shared)``
-returning its rows, and its frozen reference rows in the same layout.
+An artifact has a name, its CSV header, ``compute(table, shared)``
+returning its rows over the whole table, and its frozen reference rows
+in the same layout.
 The first ``keys`` columns of a row name it and each further column is
 one cell; :func:`diff` compares cells for the CLI ``--check`` mode,
 ``scripts/reproduce_all.py`` and the acceptance tests.
@@ -24,7 +25,7 @@ from . import reference, repulsion
 class Shared:
     """What the artifacts computed on one table share: ``walks``, the
     record walk of each k as :func:`repulsion.threshold_rows` keeps it
-    under (k, n_max), and ``events``, a near-power event set for
+    under (k, table.n_max), and ``events``, a near-power event set for
     ``table4``, its only reader.  Left ``None``, ``table4`` sweeps the
     events itself, after its input checks."""
 
@@ -83,8 +84,8 @@ def _threshold_table(name: str, published: tuple) -> Artifact:
     ks = reference.REFERENCE_K_VALUES
     d_values = tuple(d for d, _ in published)
 
-    def compute(table, n_max, shared):
-        rows = repulsion.threshold_rows(table, d_values, ks, n_max, shared.walks)
+    def compute(table, shared):
+        rows = repulsion.threshold_rows(table, d_values, ks, shared.walks)
         return [[d, *cells] for d, cells in rows]
 
     header = ("d", *("k%d" % k for k in ks))
@@ -99,8 +100,8 @@ def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Art
     exps = repulsion.DEFAULT_EXPONENTS
     d_values = [10**i for i in exps]
 
-    def compute(table, n_max, shared):
-        rows = repulsion.threshold_rows(table, d_values, ks, n_max, shared.walks)
+    def compute(table, shared):
+        rows = repulsion.threshold_rows(table, d_values, ks, shared.walks)
         return [[i, *cells] for i, (_, cells) in zip(exps, rows)]
 
     header = ("i", *("k%d" % k for k in ks))
@@ -111,8 +112,8 @@ def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Art
 def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
     """The runs of n_d over 0..d_max, against the reference runs clipped there."""
 
-    def compute(table, n_max, shared):
-        runs = repulsion.n_d_intervals(table, d_max, n_max, shared.events)
+    def compute(table, shared):
+        runs = repulsion.n_d_intervals(table, d_max, shared.events)
         return [list(run) for run in runs]
 
     runs = reference.TABLE4_INTERVALS
@@ -120,7 +121,7 @@ def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
     return Artifact("table4", ("d_lo", "d_hi", "n_d"), 2, compute, clipped)
 
 
-def _table1(table, n_max, shared):
+def _table1(table, shared):
     return [[r.n, r.p, *r.distances] for r in repulsion.distance_samples(table)]
 
 

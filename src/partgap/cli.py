@@ -75,7 +75,7 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
 
 
 def _parse_exponents(text: str) -> tuple[int, ...]:
-    """Exponent list syntax: 'LO..HI' or comma-separated integers."""
+    """Exponent list syntax: 'LO..HI' or comma-separated integers >= 0."""
     text = text.strip()
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m:
@@ -84,9 +84,12 @@ def _parse_exponents(text: str) -> tuple[int, ...]:
             raise ValueError("empty exponent range %r" % text)
         return tuple(range(lo, hi + 1))
     try:
-        return tuple(int(s) for s in text.split(","))
+        exponents = tuple(int(s) for s in text.split(","))
     except ValueError:
         raise ValueError("bad exponent list %r (use LO..HI or a,b,c)" % text)
+    if any(i < 0 for i in exponents):
+        raise ValueError("d exponents must be >= 0")
+    return exponents
 
 
 def _parse_k_list(text: str) -> tuple[int, ...]:
@@ -96,6 +99,8 @@ def _parse_k_list(text: str) -> tuple[int, ...]:
         raise ValueError("bad k list %r (use a comma-separated list)" % text)
     if any(k < 2 for k in ks):
         raise ValueError("every k must be >= 2")
+    if len(set(ks)) != len(ks):
+        raise ValueError("k values must be distinct")
     return ks
 
 
@@ -139,7 +144,7 @@ def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
 def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
     """Compute an artifact's rows, then check them or print them
     (``json_of(rows)`` is the object ``--format json`` prints)."""
-    rows = artifact.compute(_acquire_table(args, n_max), n_max, artifacts.Shared())
+    rows = artifact.compute(_acquire_table(args, n_max), artifacts.Shared())
     if args.check:
         return _check_outcome(artifact, rows)
     _emit_table(args, artifact.header, rows, json_of(rows))
@@ -234,20 +239,21 @@ def cmd_figure_data(args) -> int:
             raise ValueError("--check requires the default exponents 0..70")
         return _run_artifact(args, artifacts.figure_data(k_values), args.n_max, None)
     table = _acquire_table(args, args.n_max)
-    grid = repulsion.mk_grid(table, k_values, exponents, args.n_max)
+    rows = repulsion.threshold_rows(table, [10**i for i in exponents], k_values)
+    series = [[ms[j] for _, ms in rows] for j in range(len(k_values))]
     if args.format == "text":
-        for k in grid.k_values:
-            pairs = " ".join("(%d,%d)" % (i, m) for i, m in grid.coordinates(k))
+        for k, ms in zip(k_values, series):
+            pairs = " ".join("(%d,%d)" % im for im in zip(exponents, ms))
             print("k=%d: %s" % (k, pairs))
         return 0
     _emit_table(
         args,
-        ["i", *["k%d" % k for k in grid.k_values]],
-        [list(row) for row in zip(grid.d_exponents, *grid.cells)],
+        ["i", *["k%d" % k for k in k_values]],
+        [[i, *ms] for i, (_, ms) in zip(exponents, rows)],
         {
-            "n_max": grid.n_max,
-            "d_exponents": list(grid.d_exponents),
-            "series": {str(k): list(grid.series(k)) for k in grid.k_values},
+            "n_max": args.n_max,
+            "d_exponents": list(exponents),
+            "series": {str(k): ms for k, ms in zip(k_values, series)},
         },
     )
     return 0
@@ -336,8 +342,8 @@ def cmd_sun_scan(args) -> int:
 def cmd_fit(args) -> int:
     exponents = _parse_exponents(args.d_exp)
     table = _acquire_table(args, args.n_max)
-    grid = repulsion.mk_grid(table, (args.k,), exponents, args.n_max)
-    model = fitting.fit_grid_series(grid, args.k, args.degree)
+    rows = repulsion.threshold_rows(table, [10**i for i in exponents], (args.k,))
+    model = fitting.fit_log_poly([(d, m) for d, (m,) in rows], args.degree)
     evals = [
         (d, fitting.evaluate(model, d))
         for d in (_parse_threshold(s) for s in args.eval or [])

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .repulsion import MkGrid
-
 
 @dataclass(frozen=True)
 class LogPolyModel:
@@ -115,16 +113,6 @@ def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel
         coefficients=tuple(float(row[size]) for row in rows),
         window_exponent=window,
     )
-
-
-def grid_points(grid: MkGrid, k: int) -> list[tuple[int, int]]:
-    """(10^i, m) pairs for one grid series, fit-ready."""
-    return [(10 ** i, m) for i, m in grid.coordinates(k)]
-
-
-def fit_grid_series(grid: MkGrid, k: int, degree: int) -> LogPolyModel:
-    """Fit one power-of-ten series of a grid; see fit_log_poly."""
-    return fit_log_poly(grid_points(grid, k), degree)
 
 
 def model_as_dict(model: LogPolyModel) -> dict:

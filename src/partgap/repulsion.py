@@ -8,19 +8,21 @@ Central quantities, all relative to a finite table p(0..n_max):
 * ``n_d``         smallest N >= 2 such that m_k_d(k, d) == limit_L(d)
                   for every k >= N
 
-Everything is a finite-range computation: results are exact for the
-given n_max and agree with the idealized (all-n) quantities only as
-verified lower bounds.  The expensive unit of work is an exact root,
-and one kernel, ``_distances``, takes them all: for one k and the n it
-is given, it yields the distance from p(n) to the nearest k-th power,
-one root bracket per value, lazily and in the order asked.  A distance
-series reads it over n = 0..n_max, a threshold walk over n = n_max..0
-(stopping early), and the near-power event sweep over every n below
-the freeze bound for small k, or for large k over the few n whose p(n)
-lies near one of the k-th powers below p(n_max).  Where a k-th root of
-p(n_max) fits 40 bits, the sweep first screens each p(n) with a double,
-p(n)^(1/k) against the nearest integer, and brackets only the p(n) the
-screen cannot prove farther than the cap from every k-th power.
+Everything is a finite-range computation over the whole table: results
+are exact for its n_max and agree with the idealized (all-n) quantities
+only as verified lower bounds.  A caller that wants a shorter range
+passes a cut table, ``PartitionTable(table.values[:n + 1], n)``.  The
+expensive unit of work is an exact root, and one kernel,
+``_distances``, takes them all: for one k and the n it is given, it
+yields the distance from p(n) to the nearest k-th power, one root
+bracket per value, lazily and in the order asked.  A threshold walk
+reads it over n = n_max..0 (stopping early), and the near-power event
+sweep over every n below the freeze bound for small k, or for large k
+over the few n whose p(n) lies near one of the k-th powers below
+p(n_max).  Where a k-th root of p(n_max) fits 40 bits, the sweep first
+screens each p(n) with a double, p(n)^(1/k) against the nearest
+integer, and brackets only the p(n) the screen cannot prove farther
+than the cap from every k-th power.
 ``_near_power_events_oracle`` and ``distance_samples`` keep one
 ``nearest_power_distance`` call per pair, so the oracle stays
 independent of the kernel.  The work is paid once and shared by every
@@ -43,16 +45,6 @@ DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
 
 
-def _effective_n_max(table: PartitionTable, n_max: int | None) -> int:
-    if n_max is None:
-        return table.n_max
-    if n_max < 1 or n_max > table.n_max:
-        raise ValueError(
-            "n_max=%d outside table range 1..%d" % (n_max, table.n_max)
-        )
-    return n_max
-
-
 def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
     # (n, distance from values[n] to the nearest k-th power) for n in ns,
     # in the order given: one root bracket per value and no argument
@@ -63,24 +55,14 @@ def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tup
         yield n, min(v - power, upper - v)
 
 
-def delta_series(
-    table: PartitionTable, k: int, n_max: int | None = None
-) -> list[int]:
-    """Distances from p(n) to the nearest k-th power, for n = 0..n_max."""
-    if k < 2:
-        raise ValueError("k must be >= 2, got %d" % k)
-    hi = _effective_n_max(table, n_max)
-    return [dist for _, dist in _distances(table.values, k, range(hi + 1))]
-
-
-def _records(table: PartitionTable, k: int, hi: int) -> Iterator[tuple[int, int]]:
-    # Walking n = hi..0, yield (distance, n) at each new minimum distance.
+def _records(table: PartitionTable, k: int) -> Iterator[tuple[int, int]]:
+    # Walking n = n_max..0, yield (distance, n) at each new minimum distance.
     # The largest n with distance <= d is always one of these records, so
     # every threshold query is the first record <= d, or a bisect over all
     # of them.  Distance 0 can fall no further, so the walk stops there;
     # p(1) = 1^k guarantees it does by n = 1.
     current = None
-    for n, dist in _distances(table.values, k, range(hi, -1, -1)):
+    for n, dist in _distances(table.values, k, range(table.n_max, -1, -1)):
         if current is None or dist < current:
             current = dist
             yield dist, n
@@ -88,8 +70,8 @@ def _records(table: PartitionTable, k: int, hi: int) -> Iterator[tuple[int, int]
                 return
 
 
-def m_k_d(table: PartitionTable, k: int, d: int, n_max: int | None = None) -> int:
-    """Largest n <= n_max with p(n) within distance d of a k-th power.
+def m_k_d(table: PartitionTable, k: int, d: int) -> int:
+    """Largest n in the table with p(n) within distance d of a k-th power.
 
     Always defined for d >= 0: p(1) = 1 is exactly 1^k, so the answer is
     at least 1.  Walks down from the top and stops at the first
@@ -99,65 +81,14 @@ def m_k_d(table: PartitionTable, k: int, d: int, n_max: int | None = None) -> in
         raise ValueError("d must be >= 0, got %d" % d)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
-    hi = _effective_n_max(table, n_max)
     # the walk ends at distance 0 <= d, so a record always qualifies
-    return next(n for dist, n in _records(table, k, hi) if dist <= d)
-
-
-@dataclass(frozen=True)
-class MkGrid:
-    """m_k_d sampled at thresholds d = 10^i over a list of k.
-
-    ``cells[j][i]`` pairs with ``k_values[j]`` and ``d_exponents[i]``;
-    each per-k series is non-decreasing in i.
-    """
-
-    k_values: tuple[int, ...]
-    d_exponents: tuple[int, ...]
-    n_max: int
-    cells: tuple[tuple[int, ...], ...]
-
-    def series(self, k: int) -> tuple[int, ...]:
-        """The (i -> m) series for one k."""
-        return self.cells[self.k_values.index(k)]
-
-    def coordinates(self, k: int) -> list[tuple[int, int]]:
-        """(i, m) pairs for one k, the plot-ready form."""
-        return list(zip(self.d_exponents, self.series(k)))
-
-
-def mk_grid(
-    table: PartitionTable,
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
-    d_exponents: Sequence[int] = DEFAULT_EXPONENTS,
-    n_max: int | None = None,
-) -> MkGrid:
-    """Evaluate m_k_d over the power-of-ten grid, one record walk per k.
-
-    This is :func:`threshold_rows` at d = 10^i, transposed to one series
-    per k, so the k must be distinct.
-    """
-    if len(k_values) == 0:
-        raise ValueError("k_values must be non-empty")
-    if len(set(k_values)) != len(k_values):
-        raise ValueError("k values must be distinct")
-    if any(i < 0 for i in d_exponents):
-        raise ValueError("d exponents must be >= 0")
-    thresholds = [10 ** i for i in d_exponents]
-    rows = threshold_rows(table, thresholds, k_values, n_max)
-    return MkGrid(
-        k_values=tuple(k_values),
-        d_exponents=tuple(d_exponents),
-        n_max=table.n_max if n_max is None else n_max,
-        cells=tuple(tuple(ms[j] for _, ms in rows) for j in range(len(k_values))),
-    )
+    return next(n for dist, n in _records(table, k) if dist <= d)
 
 
 def threshold_rows(
     table: PartitionTable,
     d_values: Sequence[int],
     k_values: Sequence[int] = DEFAULT_K_VALUES,
-    n_max: int | None = None,
     walks: dict | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
@@ -165,11 +96,11 @@ def threshold_rows(
     The published grids mix a d = 0 row with powers of ten; this is the
     row-oriented builder for those layouts.  Each k is one full record
     walk (see :func:`m_k_d`), bisected at every d.  ``walks`` is a cache
-    a caller keeps across calls on one table: each walk is stored there
-    under (k, n_max), as its distances and its n in ascending order of
-    distance, and read back instead of taken again.
+    a caller keeps across calls: each walk is stored there under
+    (k, table.n_max), so a table and a cut of it keep theirs apart, as
+    its distances and its n in ascending order of distance, and read
+    back instead of taken again.
     """
-    hi = _effective_n_max(table, n_max)
     if any(k < 2 for k in k_values):
         raise ValueError("every k must be >= 2")
     if any(d < 0 for d in d_values):
@@ -177,9 +108,10 @@ def threshold_rows(
     walks = {} if walks is None else walks
     cols = []
     for k in k_values:
-        if (k, hi) not in walks:
-            walks[k, hi] = tuple(zip(*reversed(list(_records(table, k, hi)))))
-        dists, ns = walks[k, hi]
+        key = k, table.n_max
+        if key not in walks:
+            walks[key] = tuple(zip(*reversed(list(_records(table, k)))))
+        dists, ns = walks[key]
         # the walk's last record has distance 0, so the bisect never misses
         cols.append([ns[bisect.bisect_right(dists, d) - 1] for d in d_values])
     return [(d, tuple(col[i] for col in cols)) for i, d in enumerate(d_values)]
@@ -192,20 +124,14 @@ def limit_L(table: PartitionTable, d: int) -> int:
     p(n) sits within d of the k-th power 1 for every k.  Requires
     d < p(n_max) - 1 so the maximum is attained inside the table.
     """
-    return _limit_L(table, d, table.n_max)
-
-
-def _limit_L(table: PartitionTable, d: int, hi: int) -> int:
-    # limit_L over p(0..hi) only: thresholds from p(hi) - 1 on are
-    # undecided by that range, whatever the table holds past it.
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
-    if d >= table.values[hi] - 1:
+    if d >= table.values[table.n_max] - 1:
         raise ValueError(
             "d=%d is not below p(n_max) - 1; extend the table" % d
         )
     # values[1:] is strictly increasing and p(n) <= d + 1 iff p(n) - 1 <= d
-    return bisect.bisect_right(table.values, d + 1, 1, hi + 1) - 1
+    return bisect.bisect_right(table.values, d + 1, 1) - 1
 
 
 @dataclass(frozen=True)
@@ -218,19 +144,15 @@ class StabilizationCert:
     k_threshold: int
 
 
-def stabilization_threshold(
-    table: PartitionTable, n_max: int | None = None
-) -> StabilizationCert:
+def stabilization_threshold(table: PartitionTable) -> StabilizationCert:
     """Smallest K with 2^K >= 2 p(n_max), certified for the whole range.
 
     Once 2^k >= 2 p(n), the power below p(n) is 1^k and the power above
     is 2^k >= p(n) away, so the distance freezes at p(n) - 1.  The bound
     is monotone in n, hence driven by p(n_max) alone.
     """
-    hi = _effective_n_max(table, n_max)
-    return StabilizationCert(
-        n_max=hi, k_threshold=(2 * table.values[hi] - 1).bit_length()
-    )
+    top = table.values[table.n_max]
+    return StabilizationCert(n_max=table.n_max, k_threshold=(2 * top - 1).bit_length())
 
 
 class NearPowerEvent(NamedTuple):
@@ -263,13 +185,13 @@ class EventSet:
     runs: tuple[tuple[int, int, int], ...]
 
 
-def _event_set(table: PartitionTable, d_cap: int, hi: int, events: list) -> EventSet:
+def _event_set(table: PartitionTable, d_cap: int, events: list) -> EventSet:
     # An event (n, k, distance) applies at d exactly when distance <= d
     # <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
     # more than the largest k applying there, or 2.  So n_d can change
     # only at an interval's start or one past its end, and one sweep over
     # those points, with a max-heap of the applying k, yields the runs.
-    d_max = min(d_cap, table.values[hi] - 2)
+    d_max = min(d_cap, table.values[table.n_max] - 2)
     spans = sorted(
         (e.distance, e.k, table.values[e.n] - 2)
         for e in events
@@ -293,28 +215,25 @@ def _event_set(table: PartitionTable, d_cap: int, hi: int, events: list) -> Even
             out[-1] = (out[-1][0], upper, value)
         else:
             out.append((lo, upper, value))
-    return EventSet(n_max=hi, d_cap=d_cap, events=tuple(events), runs=tuple(out))
+    return EventSet(table.n_max, d_cap, tuple(events), tuple(out))
 
 
-def _near_power_events_oracle(
-    table: PartitionTable, d_cap: int, n_max: int | None = None
-) -> EventSet:
+def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
     """Reference sweep for :func:`near_power_events`: one exact root per
     (n, k) pair below the freeze bound, about n_max * log2(p(n_max)) / 2
     of them.  Kept for cross-checks only; never feeds production paths.
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
-    hi = _effective_n_max(table, n_max)
     events: list[NearPowerEvent] = []
-    for n in range(2, hi + 1):
+    for n in range(2, table.n_max + 1):
         v = table.values[n]
         freeze = (2 * v - 1).bit_length()
         for k in range(2, freeze):
             dist = nearest_power_distance(v, k)[1]
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
-    return _event_set(table, d_cap, hi, events)
+    return _event_set(table, d_cap, events)
 
 
 def _power_neighbours(
@@ -397,9 +316,7 @@ def _screened(
     ]
 
 
-def near_power_events(
-    table: PartitionTable, d_cap: int, n_max: int | None = None
-) -> EventSet:
+def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     """One sweep over (n, k): the only expensive step of the n_d family.
 
     Runs per k.  The n with k below their freeze bound are those with
@@ -434,8 +351,7 @@ def near_power_events(
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
-    hi = _effective_n_max(table, n_max)
-    values = table.values
+    values, hi = table.values, table.n_max
     top = values[hi]
     events: list[NearPowerEvent] = []
     logs = [math.log2(v) for v in values[: hi + 1]]
@@ -454,28 +370,23 @@ def near_power_events(
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
     events.sort()  # per-k order to (n, k) order
-    return _event_set(table, d_cap, hi, events)
+    return _event_set(table, d_cap, events)
 
 
-def _require_events(
-    table: PartitionTable, d: int, n_max: int | None, events: EventSet | None
-) -> EventSet:
-    # Every check runs before the sweep, so input the range cannot
-    # decide costs no sweep: d, then n_max, then the table edge, then a
-    # given set's cap and range.
-    if d < 0:
-        raise ValueError("d must be >= 0, got %d" % d)
-    hi = _effective_n_max(table, n_max)
-    _limit_L(table, d, hi)  # raises where p(0..hi) stops deciding
+def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> EventSet:
+    # Every check runs before the sweep, so input the table cannot
+    # decide costs no sweep: d, then the table edge, then a given set's
+    # cap and the table it was swept on.
+    limit_L(table, d)  # raises for d < 0 and where the table stops deciding
     if events is None:
-        return near_power_events(table, d, hi)
+        return near_power_events(table, d)
     if events.d_cap < d:
         raise ValueError(
             "event set capped at d=%d, need %d" % (events.d_cap, d)
         )
-    if events.n_max != hi:
+    if events.n_max != table.n_max:
         raise ValueError(
-            "event set covers n_max=%d, need %d" % (events.n_max, hi)
+            "event set covers n_max=%d, need %d" % (events.n_max, table.n_max)
         )
     return events
 
@@ -485,7 +396,7 @@ def _n_d_from_events(table: PartitionTable, d: int, events: EventSet) -> int:
     runs in :class:`EventSet` are tested against.  Kept for cross-checks
     only; never feeds production paths.
     """
-    limit = _limit_L(table, d, events.n_max)
+    limit = limit_L(table, d)
     worst = 1
     for ev in events.events:
         if ev.n > limit and ev.distance <= d and ev.k > worst:
@@ -501,7 +412,6 @@ def _n_d_at(runs: Sequence[tuple[int, int, int]], d: int) -> int:
 def n_d(
     table: PartitionTable,
     d: int,
-    n_max: int | None = None,
     events: EventSet | None = None,
 ) -> int:
     """Smallest N >= 2 with m_k_d(k, d) == limit_L(d) for every k >= N.
@@ -517,13 +427,12 @@ def n_d(
     ValueError for d >= p(n_max) - 1, where limit_L over p(0..n_max) is
     undecided, before any sweep.
     """
-    return _n_d_at(_require_events(table, d, n_max, events).runs, d)
+    return _n_d_at(_require_events(table, d, events).runs, d)
 
 
 def n_d_batch(
     table: PartitionTable,
     d_values: Sequence[int],
-    n_max: int | None = None,
     events: EventSet | None = None,
 ) -> dict[int, int]:
     """n_d at many thresholds off a single event sweep."""
@@ -531,26 +440,25 @@ def n_d_batch(
         return {}
     if min(d_values) < 0:
         raise ValueError("d must be >= 0, got %d" % min(d_values))
-    runs = _require_events(table, max(d_values), n_max, events).runs
+    runs = _require_events(table, max(d_values), events).runs
     return {d: _n_d_at(runs, d) for d in d_values}
 
 
 def n_d_intervals(
     table: PartitionTable,
     d_max: int,
-    n_max: int | None = None,
     events: EventSet | None = None,
 ) -> list[tuple[int, int, int]]:
     """Maximal runs (d_lo, d_hi, N) with n_d constant, covering 0..d_max.
 
     These are the event set's ``runs`` (see :class:`EventSet`) cut at
     d_max.  Like n_d, raises ValueError once d_max reaches p(n_max) - 1,
-    where the range p(0..n_max) no longer decides limit_L, even when the
-    table itself extends further, and does so before any sweep.
+    where the table no longer decides limit_L, and does so before any
+    sweep.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0, got %d" % d_max)
-    runs = _require_events(table, d_max, n_max, events).runs
+    runs = _require_events(table, d_max, events).runs
     return [(lo, min(hi, d_max), value) for lo, hi, value in runs if lo <= d_max]
 
 

@@ -25,14 +25,14 @@ from partgap.witnesses import (
 
 def test_criterion_01_table1_exact():
     start = time.perf_counter()
-    rows = TABLE1.compute(build_table(50), 50, Shared())
+    rows = TABLE1.compute(build_table(50), Shared())
     assert diff(TABLE1.cells(rows), TABLE1.want) == []
     assert time.perf_counter() - start < 1.0
     print("criterion 1 PASS: table 1 exact, %d cells" % len(TABLE1.want))
 
 
 def test_criterion_02_table2_exact(table25k, shared25k):
-    rows = TABLE2.compute(table25k, 25000, shared25k)
+    rows = TABLE2.compute(table25k, shared25k)
     assert diff(TABLE2.cells(rows), TABLE2.want) == []
     print(
         "criterion 2 PASS: table 2 exact, %d cells at n_max=25000" % len(TABLE2.want)
@@ -41,7 +41,7 @@ def test_criterion_02_table2_exact(table25k, shared25k):
 
 def test_criterion_03_figure_series_exact(table25k, shared25k):
     artifact = figure_data((2,))
-    rows = artifact.compute(table25k, 25000, shared25k)
+    rows = artifact.compute(table25k, shared25k)
     assert diff(artifact.cells(rows), artifact.want) == []
     coords = dict(rows)
     assert coords[3] == 143
@@ -51,7 +51,7 @@ def test_criterion_03_figure_series_exact(table25k, shared25k):
 
 
 def test_criterion_04_table3_exact(table25k, shared25k):
-    rows = TABLE3.compute(table25k, 25000, shared25k)
+    rows = TABLE3.compute(table25k, shared25k)
     assert diff(TABLE3.cells(rows), TABLE3.want) == []
     cells = {d: tuple(row) for d, *row in rows}
     assert cells[2][reference.REFERENCE_K_VALUES.index(4)] == 20
@@ -67,7 +67,7 @@ def test_criterion_05_table4_endpoints(table25k, events_full):
     # the event sweep answers every d at once, so the long-running
     # part costs nothing extra here
     artifact = table4()
-    rows = artifact.compute(table25k, 25000, Shared(events=events_full))
+    rows = artifact.compute(table25k, Shared(events=events_full))
     assert diff(artifact.cells(rows), artifact.want) == []
     print(
         "criterion 5 PASS: table 4 exact at %d endpoints and all %d runs"
@@ -166,7 +166,7 @@ def test_criterion_13_fit_evaluation(table25k, shared25k):
         got = evaluate(published, d)
         assert abs(got - m) <= 0.05 * m, "published model off at d=%d" % d
     d_values = [10**i for i in range(0, 71)]
-    rows = threshold_rows(table25k, d_values, (50,), 25000, shared25k.walks)
+    rows = threshold_rows(table25k, d_values, (50,), shared25k.walks)
     refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(refit, d)

@@ -24,9 +24,10 @@ CALLER_NAMES = (
     "near_power_events",
     "perfect_power_scan",
     # README library sketch
+    "PartitionTable",
     "delta_k",
     "m_k_d",
-    "mk_grid",
+    "threshold_rows",
     "EventSet",
 )
 

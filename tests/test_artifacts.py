@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import partgap.repulsion
 from partgap import reference
 from partgap.artifacts import REGISTRY, TABLE3, diff, table4
@@ -23,6 +25,26 @@ HEADERS = {
     "figure_data.csv": "i,k2,k3,k4,k5,k6,k7,k8,k50",
     "table4.csv": "d_lo,d_hi,n_d",
 }
+
+
+def run_script(path, *argv):
+    return subprocess.run(
+        [sys.executable, path, *argv],
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(partgap.repulsion.__file__)),
+        ),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(os.path.basename(path)[:-3], path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_diff_reports_changed_missing_and_extra():
@@ -63,16 +85,7 @@ def test_reference_cell_counts():
 
 
 def test_reproduce_all_writes_every_table(tmp_path):
-    done = subprocess.run(
-        [sys.executable, SCRIPT, "--n-max", "300", "--out", str(tmp_path)],
-        env=dict(
-            os.environ,
-            PYTHONPATH=os.path.dirname(os.path.dirname(partgap.repulsion.__file__)),
-        ),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_script(SCRIPT, "--n-max", "300", "--out", str(tmp_path))
     # n_max 300 cannot reach the published thresholds
     assert done.returncode == 1
     assert "table2       MISMATCH" in done.stdout
@@ -89,9 +102,9 @@ def test_reproduce_all_writes_every_table(tmp_path):
 
 def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
     # one record walk per k serves tables 2 and 3, the figure data and
-    # the refit; no distance series is taken
+    # the refit, and one event sweep serves table 4
     calls = collections.Counter()
-    for name in ("_records", "delta_series", "near_power_events"):
+    for name in ("_records", "near_power_events"):
         real = getattr(partgap.repulsion, name)
 
         def counted(table, k_or_cap, *rest, _real=real, _name=name):
@@ -99,9 +112,7 @@ def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
             return _real(table, k_or_cap, *rest)
 
         monkeypatch.setattr(partgap.repulsion, name, counted)
-    spec = importlib.util.spec_from_file_location("reproduce_all", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script(SCRIPT)
     assert script.main(["--n-max", "300", "--out", str(tmp_path)]) == 1
     assert calls == {
         **{("_records", k): 1 for k in reference.REFERENCE_K_VALUES},
@@ -110,16 +121,31 @@ def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
 
 
 def test_fit_models_prints_both_shapes():
-    done = subprocess.run(
-        [sys.executable, FIT_SCRIPT, "--n-max", "2000"],
-        env=dict(
-            os.environ,
-            PYTHONPATH=os.path.dirname(os.path.dirname(partgap.repulsion.__file__)),
-        ),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_script(FIT_SCRIPT, "--n-max", "2000")
     assert done.returncode == 0, done.stderr
     assert "degree 3 over d <= 10^12 (k = 50):" in done.stdout
     assert "degree 5 over d <= 10^70 (k = 50):" in done.stdout
+
+
+def test_reproduce_all_rejects_short_tables(tmp_path, capsys):
+    # table 1 reads p(10..50) and table 4 needs p(n_max) - 2 >= 270343,
+    # first true at n_max 52: shorter tables are a usage error, exit 2
+    script = load_script(SCRIPT)
+    for n_max in (0, 1, 49, 51):
+        with pytest.raises(SystemExit) as stop:
+            script.main(["--n-max", str(n_max), "--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --n-max must be >= 52, got %d" % n_max in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the shortest accepted table runs to the end and reports mismatches
+    assert script.main(["--n-max", "52", "--out", str(tmp_path / "out")]) == 1
+    assert "fit-k50" in capsys.readouterr().out
+
+
+def test_fit_models_rejects_empty_table():
+    done = run_script(FIT_SCRIPT, "--n-max", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "error: --n-max must be >= 1, got 0" in done.stderr
+    assert "Traceback" not in done.stderr

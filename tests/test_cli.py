@@ -447,6 +447,18 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify-bs", "--n-max", "0")[0] == 2
     assert run(capsys, "sun-scan", "--n-max", "1")[0] == 2
     assert run(capsys, "figure-data", "--n-max", "300", "--k", "2,2")[0] == 2
+    # duplicate k are rejected before the --check branch too
+    assert run(capsys, "figure-data", "--k", "2,2", "--check") == (
+        2,
+        "",
+        "error: k values must be distinct\n",
+    )
+    for command in ("figure-data", "fit"):
+        assert run(capsys, command, "--d-exp=-1,0") == (
+            2,
+            "",
+            "error: d exponents must be >= 0\n",
+        )
     assert run(capsys, "table4", "--n-max", "300", "--d-max", "-1") == (
         2,
         "",

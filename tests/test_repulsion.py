@@ -16,11 +16,9 @@ from partgap.repulsion import (
     _near_power_events_oracle,
     _power_neighbours,
     _screen_base,
-    delta_series,
     distance_samples,
     limit_L,
     m_k_d,
-    mk_grid,
     n_d,
     n_d_batch,
     n_d_intervals,
@@ -33,12 +31,14 @@ from partgap.roots import delta_k, floor_kth_root, nearest_power_distance
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
 
-def test_delta_series_matches_pointwise(table_small):
-    for k in (2, 3, 7, 50):
-        series = delta_series(table_small, k, 90)
-        assert len(series) == 91
-        for n in range(0, 91, 7):
-            assert series[n] == delta_k(table_small, n, k).distance
+def cut(table, n_max):
+    # p(0..n_max) of a longer table: how a caller asks about a shorter range
+    return PartitionTable(values=table.values[: n_max + 1], n_max=n_max)
+
+
+def pointwise_distances(table, k):
+    # one nearest_power_distance per n, independent of the sweep kernel
+    return [nearest_power_distance(v, k)[1] for v in table.values]
 
 
 def brute_m_k_d(series, d):
@@ -51,14 +51,14 @@ def brute_m_k_d(series, d):
 
 def test_m_k_d_matches_brute_force(table_small):
     for k in (2, 3, 50):
-        series = delta_series(table_small, k, 120)
+        series = pointwise_distances(table_small, k)
         for d in (0, 1, 2, 5, 10, 100, 10**6, 10**40):
             assert m_k_d(table_small, k, d) == brute_m_k_d(series, d)
 
 
 def test_m_k_d_witness_and_exclusion(table_small):
     for k in (2, 3, 4):
-        series = delta_series(table_small, k, 120)
+        series = pointwise_distances(table_small, k)
         for d in (0, 3, 17, 2000):
             m = m_k_d(table_small, k, d)
             assert series[m] <= d
@@ -80,32 +80,34 @@ def test_m_k_d_floor_is_one(table_small):
 
 
 def test_grid_cells_monotone_and_consistent(table_small):
-    grid = mk_grid(table_small, (2, 3, 50), range(0, 9), 120)
-    assert grid.k_values == (2, 3, 50)
-    assert grid.d_exponents == tuple(range(0, 9))
-    for k in grid.k_values:
-        series = grid.series(k)
-        assert list(series) == sorted(series)
-        for i, m in grid.coordinates(k):
-            assert m == m_k_d(table_small, k, 10**i, n_max=120)
-
-
-def test_grid_rejects_bad_args(table_small):
-    with pytest.raises(ValueError):
-        mk_grid(table_small, (), range(0, 3), 120)
-    with pytest.raises(ValueError):
-        mk_grid(table_small, (1,), range(0, 3), 120)
-    with pytest.raises(ValueError):
-        mk_grid(table_small, (2,), (-1, 0), 120)
-    with pytest.raises(ValueError):
-        mk_grid(table_small, (2, 2), range(0, 3), 120)
+    ks = (2, 3, 50)
+    rows = threshold_rows(table_small, [10**i for i in range(0, 9)], ks)
+    assert [d for d, _ in rows] == [10**i for i in range(0, 9)]
+    for j, k in enumerate(ks):
+        series = [cells[j] for _, cells in rows]
+        assert series == sorted(series)
+        for (d, _), m in zip(rows, series):
+            assert m == m_k_d(table_small, k, d)
 
 
 def test_threshold_rows_shape(table_small):
-    rows = threshold_rows(table_small, (0, 1, 6), (2, 3), 120)
+    rows = threshold_rows(table_small, (0, 1, 6), (2, 3))
     assert [d for d, _ in rows] == [0, 1, 6]
     for d, cells in rows:
         assert cells == tuple(m_k_d(table_small, k, d) for k in (2, 3))
+
+
+def test_grid_rejects_bad_args(table_small):
+    # the grid builder takes k >= 2 and d >= 0 only; duplicate k and
+    # negative d exponents are refused where the CLI parses them
+    with pytest.raises(ValueError, match="every k must be >= 2"):
+        threshold_rows(table_small, (0,), (2, 1))
+    with pytest.raises(ValueError, match="every k must be >= 2"):
+        threshold_rows(table_small, (0, 1), (1,))
+    with pytest.raises(ValueError, match="thresholds must be >= 0"):
+        threshold_rows(table_small, (0, -1), (2,))
+    with pytest.raises(ValueError, match="thresholds must be >= 0"):
+        threshold_rows(table_small, (-(10**40),), (2, 3))
 
 
 def test_limit_values(table_small):
@@ -145,7 +147,7 @@ def test_limit_domain(table_small):
 
 
 def test_stabilization_guarantee(table_small):
-    cert = stabilization_threshold(table_small, 60)
+    cert = stabilization_threshold(cut(table_small, 60))
     assert cert.n_max == 60
     for k in (cert.k_threshold, cert.k_threshold + 1, cert.k_threshold + 9):
         for n in range(0, 61):
@@ -153,8 +155,8 @@ def test_stabilization_guarantee(table_small):
 
 
 def test_events_complete_and_sound(table_small):
-    events = near_power_events(table_small, 1000, n_max=90)
-    cert = stabilization_threshold(table_small, 90)
+    events = near_power_events(cut(table_small, 90), 1000)
+    cert = stabilization_threshold(cut(table_small, 90))
     seen = {(e.n, e.k): e.distance for e in events.events}
     for n in range(2, 91):
         for k in range(2, cert.k_threshold + 1):
@@ -201,8 +203,9 @@ thresholds = st.lists(
 )
 @settings(max_examples=40, deadline=None)
 def test_threshold_rows_from_shared_walks(size, other, ks, d_first, d_second):
-    # one cache across two d sets, two k orders and a second n_max: each
-    # answer equals a fresh call and max{n : distance <= d} by brute force
+    # one cache across two d sets, two k orders and a second cut of the
+    # table: each answer equals a fresh call and max{n : distance <= d}
+    # by brute force
     table = cached_table(600)
     walks = {}
     for n_max, k_values, d_values in (
@@ -210,8 +213,8 @@ def test_threshold_rows_from_shared_walks(size, other, ks, d_first, d_second):
         (size, ks[::-1], d_second),
         (other, ks, d_first),
     ):
-        rows = threshold_rows(table, d_values, k_values, n_max, walks)
-        assert rows == threshold_rows(table, d_values, k_values, n_max)
+        rows = threshold_rows(cut(table, n_max), d_values, k_values, walks)
+        assert rows == threshold_rows(cut(table, n_max), d_values, k_values)
         for j, k in enumerate(k_values):
             dists = [nearest_power_distance(table.p(n), k)[1] for n in range(n_max + 1)]
             for d, cells in rows:
@@ -240,21 +243,18 @@ def test_events_match_oracle(case):
     # n must still be examined once per k
     size, n_max, d_cap = case
     table = cached_table(size)
-    assert near_power_events(table, d_cap, n_max) == _near_power_events_oracle(
-        table, d_cap, n_max
-    )
+    if n_max is not None:
+        table = cut(table, n_max)
+    assert near_power_events(table, d_cap) == _near_power_events_oracle(table, d_cap)
 
 
 def test_events_oracle_edges(table_small):
     for d_cap in (0, 1, 10**9):
         for n_max in (1, 2, 3, 120):
-            assert near_power_events(
-                table_small, d_cap, n_max
-            ) == _near_power_events_oracle(table_small, d_cap, n_max)
+            table = cut(table_small, n_max)
+            assert near_power_events(table, d_cap) == _near_power_events_oracle(table, d_cap)
     with pytest.raises(ValueError):
         near_power_events(table_small, -1)
-    with pytest.raises(ValueError):
-        near_power_events(table_small, 0, n_max=121)
 
 
 def test_screen_float_error_within_derived_bound():
@@ -342,13 +342,13 @@ def test_screen_stays_live(monkeypatch):
     assert len(calls) < 15000
 
 
-def brute_n_d(table, d, n_max):
+def brute_n_d(table, d):
     # direct definition: largest k whose threshold exceeds the limit, plus 1
     limit = limit_L(table, d)
     best = 1
-    cert = stabilization_threshold(table, n_max)
+    cert = stabilization_threshold(table)
     for k in range(2, cert.k_threshold + 2):
-        if m_k_d(table, k, d, n_max=n_max) > limit:
+        if m_k_d(table, k, d) > limit:
             best = k
     return best + 1 if best > 1 else 2
 
@@ -357,7 +357,7 @@ def test_n_d_matches_direct_definition():
     table = build_table(300)
     events = near_power_events(table, 1000)
     for d in D_SAMPLES:
-        assert n_d(table, d, events=events) == brute_n_d(table, d, 300)
+        assert n_d(table, d, events=events) == brute_n_d(table, d)
 
 
 def test_n_d_batch_and_intervals():
@@ -377,11 +377,11 @@ def test_n_d_batch_and_intervals():
         assert n_d(table, hi, events=events) == v
 
 
-def per_cut_intervals(table, d_max, n_max, events):
+def per_cut_intervals(table, d_max, events):
     # n_d evaluated at every threshold where limit_L jumps or an event
     # activates, equal neighbours merged
     cuts = {0}
-    cuts.update(table.p(n) - 1 for n in range(2, n_max + 1))
+    cuts.update(table.p(n) - 1 for n in range(2, table.n_max + 1))
     cuts.update(e.distance for e in events.events)
     cuts = sorted(c for c in cuts if c <= d_max)
     out = []
@@ -399,12 +399,13 @@ def test_n_d_intervals_match_per_cut_evaluation():
     table = build_table(300)
     for n_max in (300, 200, 60):
         # up to the last decidable threshold p(n_max) - 2 at n_max 60
-        edge = table.p(n_max) - 2
+        part = cut(table, n_max)
+        edge = part.p(n_max) - 2
         for d_max in (0, 1, 950, min(10**6, edge), min(10**9, edge)):
-            events = near_power_events(table, d_max, n_max)
-            assert n_d_intervals(
-                table, d_max, n_max, events=events
-            ) == per_cut_intervals(table, d_max, n_max, events)
+            events = near_power_events(part, d_max)
+            assert n_d_intervals(part, d_max, events=events) == per_cut_intervals(
+                part, d_max, events
+            )
     # past the table edge limit_L is undecided, so the runs are too
     events = near_power_events(table, table.p(300))
     with pytest.raises(ValueError):
@@ -412,30 +413,30 @@ def test_n_d_intervals_match_per_cut_evaluation():
 
 
 def test_n_d_family_undecided_past_explicit_n_max():
-    # A 300-entry table asked about n_max 200 decides exactly what a
-    # 200-entry table decides: nothing from p(200) - 1 on.
-    table, exact = build_table(300), build_table(200)
+    # A 300-entry table cut at 200 decides exactly what a 200-entry
+    # table decides: nothing from p(200) - 1 on.
+    table, exact = cut(build_table(300), 200), build_table(200)
     edge = exact.p(200) - 1
-    events = near_power_events(table, edge + 5, 200)
+    events = near_power_events(table, edge + 5)
     for t in (table, exact):
         for d in (edge, edge + 5):
             with pytest.raises(ValueError, match="not below p"):
-                n_d_intervals(t, d, 200, events=events)
+                n_d_intervals(t, d, events=events)
             with pytest.raises(ValueError, match="not below p"):
-                n_d(t, d, 200, events=events)
+                n_d(t, d, events=events)
             with pytest.raises(ValueError, match="not below p"):
-                n_d_batch(t, (0, d), 200, events=events)
-    assert n_d_intervals(table, edge - 1, 200, events=events) == n_d_intervals(
+                n_d_batch(t, (0, d), events=events)
+    assert n_d_intervals(table, edge - 1, events=events) == n_d_intervals(
         exact, edge - 1, events=events
     )
 
 
 def test_events_argument_validation(table_small):
-    events = near_power_events(table_small, 100, n_max=90)
+    events = near_power_events(cut(table_small, 90), 100)
     with pytest.raises(ValueError):
-        n_d(table_small, 101, n_max=90, events=events)
+        n_d(cut(table_small, 90), 101, events=events)
     with pytest.raises(ValueError):
-        n_d_intervals(table_small, 500, n_max=90, events=events)
+        n_d_intervals(cut(table_small, 90), 500, events=events)
     with pytest.raises(ValueError):
         n_d(table_small, 50, events=events)  # table covers 120, events only 90
 
@@ -461,13 +462,14 @@ def test_n_d_family_reads_the_runs(case, data):
     # d_max they are the per-cut evaluation
     size, n_max, d_cap = case
     table = cached_table(size)
-    hi = size if n_max is None else n_max
-    events = near_power_events(table, d_cap, n_max)
-    last = min(d_cap, table.p(hi) - 2)
+    if n_max is not None:
+        table = cut(table, n_max)
+    events = near_power_events(table, d_cap)
+    last = min(d_cap, table.p(table.n_max) - 2)
     if last < 0:  # n_max 1 decides no d
         assert events.runs == ()
         with pytest.raises(ValueError, match="not below p"):
-            n_d(table, 0, n_max, events=events)
+            n_d(table, 0, events=events)
         return
     assert events.runs[0][0] == 0 and events.runs[-1][1] == last
     assert all(a[1] + 1 == b[0] and a[2] != b[2] for a, b in zip(events.runs, events.runs[1:]))
@@ -475,14 +477,14 @@ def test_n_d_family_reads_the_runs(case, data):
     ds.update(data.draw(st.lists(st.integers(min_value=0, max_value=last), max_size=5)))
     ds = sorted(d for d in ds if d <= last)
     want = {d: _n_d_from_events(table, d, events) for d in ds}
-    assert {d: n_d(table, d, n_max, events=events) for d in ds} == want
-    assert n_d_batch(table, ds, n_max, events=events) == want
+    assert {d: n_d(table, d, events=events) for d in ds} == want
+    assert n_d_batch(table, ds, events=events) == want
     for d_max in (0, data.draw(st.integers(min_value=0, max_value=min(last, 10**4)))):
         # the per-cut oracle scans every event per cut, so it reads a set
         # capped at d_max; the runs come from the full set
-        capped = near_power_events(table, d_max, n_max)
-        assert n_d_intervals(table, d_max, n_max, events=events) == per_cut_intervals(
-            table, d_max, hi, capped
+        capped = near_power_events(table, d_max)
+        assert n_d_intervals(table, d_max, events=events) == per_cut_intervals(
+            table, d_max, capped
         )
 
 
@@ -508,17 +510,17 @@ def test_undecidable_d_rejected_before_any_sweep(monkeypatch):
 
 def test_edge_reported_before_event_cap():
     # d past both a given set's cap and the table edge: the edge decides
-    table = cached_table(300)
-    events = near_power_events(table, 100, 200)
+    table = cut(cached_table(300), 200)
+    events = near_power_events(table, 100)
     edge = table.p(200) - 1
     with pytest.raises(ValueError, match="not below p"):
-        n_d(table, edge, 200, events=events)
+        n_d(table, edge, events=events)
     with pytest.raises(ValueError, match="not below p"):
-        n_d_batch(table, (0, edge), 200, events=events)
+        n_d_batch(table, (0, edge), events=events)
     with pytest.raises(ValueError, match="capped at d=100"):
-        n_d(table, edge - 1, 200, events=events)
+        n_d(table, edge - 1, events=events)
     with pytest.raises(ValueError, match="d must be >= 0, got -3"):
-        n_d_batch(table, (-1, -3, 5), 200, events=events)
+        n_d_batch(table, (-1, -3, 5), events=events)
 
 
 def test_distance_samples(table_small):
@@ -532,7 +534,7 @@ def test_distance_samples(table_small):
 
 
 def test_spot_values_at_full_size(table25k, shared25k):
-    rows = dict(threshold_rows(table25k, (0, 1, 10**70), (2, 50, 100), 25000, shared25k.walks))
+    rows = dict(threshold_rows(table25k, (0, 1, 10**70), (2, 50, 100), shared25k.walks))
     assert rows[1][0] == 35  # k = 2, d = 1
     assert rows[0][1] == 1  # k = 50, d = 0
     assert rows[1][1] == 2  # k = 50, d = 1
