@@ -29,6 +29,8 @@ def main():
     args = ap.parse_args()
     if args.n_max < 1:
         ap.error("--n-max must be >= 1, got %d" % args.n_max)
+    if args.k < 2:
+        ap.error("--k must be >= 2, got %d" % args.k)
 
     t0 = time.time()
     table = build_table(args.n_max)

@@ -14,7 +14,6 @@ from .partitions import (
 )
 from .repulsion import (
     EventSet,
-    StabilizationCert,
     limit_L,
     m_k_d,
     n_d,
@@ -25,8 +24,6 @@ from .repulsion import (
     threshold_rows,
 )
 from .roots import (
-    DistanceRecord,
-    delta_k,
     floor_kth_root,
     is_perfect_power,
     nearest_power_distance,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 from . import reference, repulsion
+from .roots import nearest_power_distance
 
 
 class Shared:
@@ -122,7 +123,8 @@ def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
 
 
 def _table1(table, shared):
-    return [[r.n, r.p, *r.distances] for r in repulsion.distance_samples(table)]
+    samples = ((n, table.p(n)) for n, _ in reference.SAMPLE_P)
+    return [[n, v, *(nearest_power_distance(v, k)[1] for k in (2, 3, 4))] for n, v in samples]
 
 
 TABLE1 = Artifact(

@@ -11,6 +11,7 @@ failed (reference mismatch, uncovered index, counterexample found),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .partitions import (
     log_hardy_ramanujan,
     save_table,
 )
-from .roots import delta_k
+from .roots import nearest_power_distance
 
 CACHE_ENV = "PARTGAP_CACHE_DIR"
 _CACHE_PATTERN = re.compile(r"^ptable_(\d+)\.txt$")
@@ -45,7 +46,9 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
 
     Of a longer cached table only p(0..n_max) is read and checked, so
     what a command reports never depends on what the cache holds, and a
-    small query pays little for a large cache.
+    small query pays little for a large cache.  Commands call it after
+    every check of their input that needs no table, so input they reject
+    leaves no cache file behind.
     """
     if n_max < 1:
         raise ValueError("--n-max must be >= 1, got %d" % n_max)
@@ -161,12 +164,12 @@ def _require_n(n: int) -> None:
 
 def cmd_pn(args) -> int:
     _require_n(args.n)
+    if args.estimate and args.n < 1:
+        raise ValueError("--estimate needs n >= 1")
     table = _acquire_table(args, max(args.n, 1))
     value = table.p(args.n)
     print(value)
     if args.estimate:
-        if args.n < 1:
-            raise ValueError("--estimate needs n >= 1")
         est = hardy_ramanujan_estimate(args.n)
         # from logs: past float range est is inf and p(n) has no float
         ratio = math.exp(log_hardy_ramanujan(args.n) - math.log(value))
@@ -186,14 +189,11 @@ def cmd_delta(args) -> int:
     if args.k < 2:
         raise ValueError("k must be >= 2, got %d" % args.k)
     table = _acquire_table(args, max(args.n, 1))
-    record = delta_k(table, args.n, args.k)
+    base, distance = nearest_power_distance(table.p(args.n), args.k)
     if args.verbose:
-        print(
-            "n=%d k=%d nearest_base=%d distance=%d"
-            % (record.n, record.k, record.nearest_base, record.distance)
-        )
+        print("n=%d k=%d nearest_base=%d distance=%d" % (args.n, args.k, base, distance))
     else:
-        print(record.distance)
+        print(distance)
     return 0
 
 
@@ -221,6 +221,8 @@ def cmd_threshold_table(args) -> int:
 
 
 def cmd_table4(args) -> int:
+    if args.d_max < 0:
+        raise ValueError("d_max must be >= 0, got %d" % args.d_max)
     return _run_artifact(
         args,
         artifacts.table4(args.d_max),
@@ -270,7 +272,10 @@ def cmd_s_check(args) -> int:
         lo, hi = args.range
         if lo > hi:
             raise ValueError("--range needs LO <= HI, got %d %d" % (lo, hi))
-    table = _acquire_table(args, max(hi, 1))
+    n_max = max(hi, 1)
+    if lo < 0:  # coverage_scan's message for the table this would build
+        raise ValueError("scan range [%d, %d] outside table 0..%d" % (lo, hi, n_max))
+    table = _acquire_table(args, n_max)
     statuses = witnesses.coverage_scan(table, lo, hi)
     uncovered = 0
     for st in statuses:
@@ -340,16 +345,20 @@ def cmd_sun_scan(args) -> int:
 # --------------------------------------------------------------- fit
 
 def cmd_fit(args) -> int:
-    exponents = _parse_exponents(args.d_exp)
+    d_values = [10**i for i in _parse_exponents(args.d_exp)]
+    if args.k < 2:
+        raise ValueError("every k must be >= 2")
+    fitting._require_fit(d_values, args.degree)
+    at = [_parse_threshold(s) for s in args.eval or []]
+    for d in at:
+        if d < 1:
+            raise ValueError("model is defined for d >= 1, got %r" % (d,))
     table = _acquire_table(args, args.n_max)
-    rows = repulsion.threshold_rows(table, [10**i for i in exponents], (args.k,))
+    rows = repulsion.threshold_rows(table, d_values, (args.k,))
     model = fitting.fit_log_poly([(d, m) for d, (m,) in rows], args.degree)
-    evals = [
-        (d, fitting.evaluate(model, d))
-        for d in (_parse_threshold(s) for s in args.eval or [])
-    ]
+    evals = [(d, fitting.evaluate(model, d)) for d in at]
     if args.format == "json":
-        obj = fitting.model_as_dict(model)
+        obj = dataclasses.asdict(model)
         obj["k"] = args.k
         obj["n_max"] = args.n_max
         if evals:

@@ -58,6 +58,28 @@ def evaluate(model: LogPolyModel, d: int | float) -> float:
     return acc
 
 
+def _require_fit(d_values: Sequence[int], degree: int) -> None:
+    # The checks on a fit that read only its thresholds, so a caller can
+    # run them before computing any value.  With at least degree + 1
+    # distinct ln d the Vandermonde design has full column rank, so the
+    # normal equations are nonsingular and elimination finds every pivot.
+    if degree < 1:
+        raise ValueError("degree must be >= 1, got %d" % degree)
+    size = degree + 1
+    if len(d_values) < size:
+        raise ValueError(
+            "need at least %d points for degree %d, got %d"
+            % (size, degree, len(d_values))
+        )
+    if any(d < 1 for d in d_values):
+        raise ValueError("all thresholds must satisfy d >= 1")
+    if (rank := len({math.log(d) for d in d_values})) < size:
+        raise ValueError(
+            "rank-deficient fit (rank %d < %d); thresholds too repetitive"
+            % (rank, size)
+        )
+
+
 def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel:
     """Least-squares fit of a degree-``degree`` polynomial in ln d.
 
@@ -66,20 +88,12 @@ def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel
     rationals for the float values of ln d: Gauss-Jordan elimination on
     the normal equations in exact fractions, then one rounding per
     coefficient; the cost grows with the degree (figures in the module
-    docstring).  Raises ValueError when the system is underdetermined
-    or rank-deficient (fewer distinct ln d than unknowns, found as a
-    column with no nonzero pivot left); never silently regularizes.
+    docstring).  Raises ValueError, before any arithmetic, when the
+    system is underdetermined or rank-deficient (fewer distinct ln d
+    than unknowns); never silently regularizes.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1, got %d" % degree)
+    _require_fit([d for d, _ in points], degree)
     size = degree + 1
-    if len(points) < size:
-        raise ValueError(
-            "need at least %d points for degree %d, got %d"
-            % (size, degree, len(points))
-        )
-    if any(d < 1 for d, _ in points):
-        raise ValueError("all thresholds must satisfy d >= 1")
     xs = [Fraction(math.log(d)) for d, _ in points]
     # Normal equations A^T A c = A^T y for the Vandermonde design A:
     # entry (r, c) is sum x^(r+c) and the right side is sum y x^r.
@@ -94,12 +108,7 @@ def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel
             power *= x
     rows = [sums[r : r + size] + [rhs[r]] for r in range(size)]
     for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            raise ValueError(
-                "rank-deficient fit (rank %d < %d); thresholds too repetitive"
-                % (len(set(xs)), size)
-            )
+        pivot = next(r for r in range(col, size) if rows[r][col])
         rows[col], rows[pivot] = rows[pivot], rows[col]
         lead = rows[col][col]
         rows[col] = [e / lead for e in rows[col]]
@@ -113,12 +122,3 @@ def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel
         coefficients=tuple(float(row[size]) for row in rows),
         window_exponent=window,
     )
-
-
-def model_as_dict(model: LogPolyModel) -> dict:
-    """JSON-ready form: degree, coefficients, window exponent."""
-    return {
-        "degree": model.degree,
-        "coefficients": list(model.coefficients),
-        "window_exponent": model.window_exponent,
-    }

@@ -23,10 +23,10 @@ p(n_max).  Where a k-th root of p(n_max) fits 40 bits, the sweep first
 screens each p(n) with a double, p(n)^(1/k) against the nearest
 integer, and brackets only the p(n) the screen cannot prove farther
 than the cap from every k-th power.
-``_near_power_events_oracle`` and ``distance_samples`` keep one
-``nearest_power_distance`` call per pair, so the oracle stays
-independent of the kernel.  The work is paid once and shared by every
-table, figure, and N_d query built on top.
+``_near_power_events_oracle`` keeps one ``nearest_power_distance``
+call per pair, so the oracle stays independent of the kernel.  The work
+is paid once and shared by every table, figure, and N_d query built on
+top.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .partitions import PartitionTable
 from .roots import _bracket, floor_kth_root, nearest_power_distance
 
-DEFAULT_K_VALUES = (2, 3, 4, 5, 6, 7, 8, 50, 100)
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
 
@@ -88,7 +87,7 @@ def m_k_d(table: PartitionTable, k: int, d: int) -> int:
 def threshold_rows(
     table: PartitionTable,
     d_values: Sequence[int],
-    k_values: Sequence[int] = DEFAULT_K_VALUES,
+    k_values: Sequence[int],
     walks: dict | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
@@ -134,25 +133,17 @@ def limit_L(table: PartitionTable, d: int) -> int:
     return bisect.bisect_right(table.values, d + 1, 1) - 1
 
 
-@dataclass(frozen=True)
-class StabilizationCert:
-    """For every k >= k_threshold and 1 <= n <= n_max, the k-th power
-    nearest p(n) is 1, so the distance is p(n) - 1 and m_k_d(k, d)
-    equals limit_L(d) whenever limit_L(d) <= n_max."""
-
-    n_max: int
-    k_threshold: int
-
-
-def stabilization_threshold(table: PartitionTable) -> StabilizationCert:
-    """Smallest K with 2^K >= 2 p(n_max), certified for the whole range.
+def stabilization_threshold(table: PartitionTable) -> int:
+    """Smallest K with 2^K >= 2 p(n_max), certified for the whole range:
+    for every k >= K and 1 <= n <= n_max, the k-th power nearest p(n)
+    is 1, so the distance is p(n) - 1 and m_k_d(k, d) equals limit_L(d)
+    whenever limit_L(d) <= n_max.
 
     Once 2^k >= 2 p(n), the power below p(n) is 1^k and the power above
     is 2^k >= p(n) away, so the distance freezes at p(n) - 1.  The bound
     is monotone in n, hence driven by p(n_max) alone.
     """
-    top = table.values[table.n_max]
-    return StabilizationCert(n_max=table.n_max, k_threshold=(2 * top - 1).bit_length())
+    return (2 * table.values[table.n_max] - 1).bit_length()
 
 
 class NearPowerEvent(NamedTuple):
@@ -355,7 +346,7 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     top = values[hi]
     events: list[NearPowerEvent] = []
     logs = [math.log2(v) for v in values[: hi + 1]]
-    for k in range(2, (2 * top - 1).bit_length()):
+    for k in range(2, stabilization_threshold(table)):
         # k < freeze bound (2 p(n) - 1).bit_length()  <=>  p(n) > 2^(k-1)
         first = bisect.bisect_right(values, 1 << (k - 1), 2, hi + 1)
         bases = floor_kth_root(top + d_cap, k).root
@@ -460,30 +451,3 @@ def n_d_intervals(
         raise ValueError("d_max must be >= 0, got %d" % d_max)
     runs = _require_events(table, d_max, events).runs
     return [(lo, min(hi, d_max), value) for lo, hi, value in runs if lo <= d_max]
-
-
-class SampleRow(NamedTuple):
-    """p(n) with its distances to the nearest powers, for a few k."""
-
-    n: int
-    p: int
-    distances: tuple[int, ...]
-
-
-def distance_samples(
-    table: PartitionTable,
-    n_values: Sequence[int] = (10, 20, 30, 40, 50),
-    k_values: Sequence[int] = (2, 3, 4),
-) -> list[SampleRow]:
-    """Rows (n, p(n), distance for each k): the introductory table."""
-    rows = []
-    for n in n_values:
-        v = table.p(n)
-        rows.append(
-            SampleRow(
-                n=n,
-                p=v,
-                distances=tuple(nearest_power_distance(v, k)[1] for k in k_values),
-            )
-        )
-    return rows

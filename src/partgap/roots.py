@@ -29,8 +29,6 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .partitions import PartitionTable
-
 
 class KthRootResult(NamedTuple):
     root: int
@@ -112,21 +110,6 @@ def nearest_power_distance(v: int, k: int) -> tuple[int, int]:
     if v - power <= upper - v:
         return r, v - power
     return r + 1, upper - v
-
-
-class DistanceRecord(NamedTuple):
-    """Distance from p(n) to the nearest k-th power, with the base hit."""
-
-    n: int
-    k: int
-    nearest_base: int
-    distance: int
-
-
-def delta_k(table: PartitionTable, n: int, k: int) -> DistanceRecord:
-    """Distance record for p(n) against k-th powers."""
-    base, dist = nearest_power_distance(table.p(n), k)
-    return DistanceRecord(n=n, k=k, nearest_base=base, distance=dist)
 
 
 def _primes_up_to(limit: int) -> list[int]:

@@ -26,7 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .partitions import (
     IndexLookup,
@@ -88,27 +88,15 @@ def _witness_search_oracle(v: int):
             a += 1
 
 
-def _witnesses(table: PartitionTable, n: int) -> Iterator[CoverageWitness]:
-    # table.p checks the range: the outermost iterable of a generator
-    # expression is evaluated when it is made, not when first read
-    return (
-        CoverageWitness(n=n, x=x, prime=q, exponent=a)
-        for x, q, a in _witness_search(table.p(n))
-    )
-
-
 def coverage_witness(table: PartitionTable, n: int) -> CoverageWitness | None:
     """First decomposition p(n) = x^2 + q^a, or None.
 
     Search order is prime ascending, then exponent ascending, so the
     returned witness is deterministic.
     """
-    return next(_witnesses(table, n), None)
-
-
-def coverage_witnesses(table: PartitionTable, n: int) -> list[CoverageWitness]:
-    """Every decomposition of p(n), in the deterministic search order."""
-    return list(_witnesses(table, n))
+    for x, q, a in _witness_search(table.p(n)):
+        return CoverageWitness(n=n, x=x, prime=q, exponent=a)
+    return None
 
 
 class CoverageStatus(NamedTuple):
@@ -211,12 +199,10 @@ def parse_exceptional_lines(lines: Iterable[str]) -> tuple[ExceptionalTuple, ...
     return tuple(out)
 
 
-def load_exceptional_list(source: str | IO[str]) -> tuple[ExceptionalTuple, ...]:
-    """Read an exceptional-tuple file from a path or open text stream."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="ascii") as fh:
-            return parse_exceptional_lines(fh)
-    return parse_exceptional_lines(source)
+def load_exceptional_list(path: str) -> tuple[ExceptionalTuple, ...]:
+    """Read an exceptional-tuple file."""
+    with open(path, "r", encoding="ascii") as fh:
+        return parse_exceptional_lines(fh)
 
 
 def bundled_exceptional_list() -> tuple[ExceptionalTuple, ...]:
@@ -249,10 +235,6 @@ class ExceptionalReport:
             c.lookup.index is None and not c.lookup.out_of_range
             for c in self.checks
         )
-
-    @property
-    def hits(self) -> tuple[PowerCheck, ...]:
-        return tuple(c for c in self.checks if c.lookup.index is not None)
 
 
 def _covering_table(value: int) -> PartitionTable:

@@ -25,7 +25,7 @@ CALLER_NAMES = (
     "perfect_power_scan",
     # README library sketch
     "PartitionTable",
-    "delta_k",
+    "nearest_power_distance",
     "m_k_d",
     "threshold_rows",
     "EventSet",

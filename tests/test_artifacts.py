@@ -149,3 +149,10 @@ def test_fit_models_rejects_empty_table():
     assert (done.returncode, done.stdout) == (2, "")
     assert "error: --n-max must be >= 1, got 0" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_fit_models_rejects_k_below_two():
+    done = run_script(FIT_SCRIPT, "--k", "1", "--n-max", "300")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "error: --k must be >= 2, got 1" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -57,6 +57,32 @@ def test_bad_input_writes_no_cache(capsys, tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fit", "--k", "1"), "every k must be >= 2"),
+        (("fit", "--degree", "0"), "degree must be >= 1, got 0"),
+        (("fit", "--eval", "abc"), "bad threshold 'abc' (use an integer or 10^i)"),
+        (("fit", "--eval", "0"), "model is defined for d >= 1, got 0"),
+        (("fit", "--d-exp", "0..2"), "need at least 6 points for degree 5, got 3"),
+        (
+            ("fit", "--d-exp", "1,1,2,2,3,3", "--degree", "3"),
+            "rank-deficient fit (rank 3 < 4); thresholds too repetitive",
+        ),
+        (("table4", "--d-max", "-1"), "d_max must be >= 0, got -1"),
+        (("s-check", "-3"), "scan range [-3, -3] outside table 0..1"),
+        (("s-check", "--range", "-2", "4"), "scan range [-2, 4] outside table 0..4"),
+        (("pn", "0", "--estimate"), "--estimate needs n >= 1"),
+    ],
+)
+def test_input_checked_before_the_table_is_cached(capsys, tmp_path, argv, message):
+    if argv[0] in ("fit", "table4"):
+        argv += ("--n-max", "300")
+    code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert os.listdir(tmp_path) == []
+
+
 def test_pn_estimate(capsys):
     code, out, _ = run(capsys, "pn", "100", "--estimate")
     assert code == 0

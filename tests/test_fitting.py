@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -6,7 +8,6 @@ from partgap.fitting import (
     LogPolyModel,
     evaluate,
     fit_log_poly,
-    model_as_dict,
 )
 from partgap.repulsion import threshold_rows
 
@@ -101,9 +102,13 @@ def test_model_validation():
 
 
 def test_model_as_dict():
+    # the JSON object of `partgap fit --format json` starts from this dict
     model = LogPolyModel(degree=1, coefficients=(0.5, 2.5), window_exponent=7)
-    assert model_as_dict(model) == {
+    assert dataclasses.asdict(model) == {
         "degree": 1,
-        "coefficients": [0.5, 2.5],
+        "coefficients": (0.5, 2.5),
         "window_exponent": 7,
     }
+    assert json.dumps(dataclasses.asdict(model)) == (
+        '{"degree": 1, "coefficients": [0.5, 2.5], "window_exponent": 7}'
+    )

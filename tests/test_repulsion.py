@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partgap.repulsion
+from partgap.artifacts import TABLE1
 from partgap.partitions import PartitionTable, build_table, p1
 from partgap.repulsion import (
     _SCREEN_REL,
@@ -16,7 +17,6 @@ from partgap.repulsion import (
     _near_power_events_oracle,
     _power_neighbours,
     _screen_base,
-    distance_samples,
     limit_L,
     m_k_d,
     n_d,
@@ -26,7 +26,7 @@ from partgap.repulsion import (
     stabilization_threshold,
     threshold_rows,
 )
-from partgap.roots import delta_k, floor_kth_root, nearest_power_distance
+from partgap.roots import floor_kth_root, nearest_power_distance
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
@@ -147,26 +147,25 @@ def test_limit_domain(table_small):
 
 
 def test_stabilization_guarantee(table_small):
-    cert = stabilization_threshold(cut(table_small, 60))
-    assert cert.n_max == 60
-    for k in (cert.k_threshold, cert.k_threshold + 1, cert.k_threshold + 9):
+    k_threshold = stabilization_threshold(cut(table_small, 60))
+    for k in (k_threshold, k_threshold + 1, k_threshold + 9):
         for n in range(0, 61):
-            assert delta_k(table_small, n, k).distance == table_small.p(n) - 1
+            assert nearest_power_distance(table_small.p(n), k)[1] == table_small.p(n) - 1
 
 
 def test_events_complete_and_sound(table_small):
     events = near_power_events(cut(table_small, 90), 1000)
-    cert = stabilization_threshold(cut(table_small, 90))
+    k_threshold = stabilization_threshold(cut(table_small, 90))
     seen = {(e.n, e.k): e.distance for e in events.events}
     for n in range(2, 91):
-        for k in range(2, cert.k_threshold + 1):
-            d = delta_k(table_small, n, k).distance
+        for k in range(2, k_threshold + 1):
+            d = nearest_power_distance(table_small.p(n), k)[1]
             if d <= 1000 and d < table_small.p(n) - 1:
                 assert seen[(n, k)] == d
     for e in events.events:
         assert 2 <= e.n <= 90
         assert e.distance <= 1000
-        assert delta_k(table_small, e.n, e.k).distance == e.distance
+        assert nearest_power_distance(table_small.p(e.n), e.k)[1] == e.distance
 
 
 cached_table = functools.lru_cache(maxsize=None)(build_table)
@@ -346,8 +345,7 @@ def brute_n_d(table, d):
     # direct definition: largest k whose threshold exceeds the limit, plus 1
     limit = limit_L(table, d)
     best = 1
-    cert = stabilization_threshold(table)
-    for k in range(2, cert.k_threshold + 2):
+    for k in range(2, stabilization_threshold(table) + 2):
         if m_k_d(table, k, d) > limit:
             best = k
     return best + 1 if best > 1 else 2
@@ -524,13 +522,13 @@ def test_edge_reported_before_event_cap():
 
 
 def test_distance_samples(table_small):
-    rows = distance_samples(table_small)
-    assert [r.n for r in rows] == [10, 20, 30, 40, 50]
-    for row in rows:
-        assert row.p == table_small.p(row.n)
-        assert row.distances == tuple(
-            delta_k(table_small, row.n, k).distance for k in (2, 3, 4)
-        )
+    rows = TABLE1.compute(table_small, None)
+    assert [r[0] for r in rows] == [10, 20, 30, 40, 50]
+    for n, p, *distances in rows:
+        assert p == table_small.p(n)
+        assert distances == [
+            nearest_power_distance(table_small.p(n), k)[1] for k in (2, 3, 4)
+        ]
 
 
 def test_spot_values_at_full_size(table25k, shared25k):

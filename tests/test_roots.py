@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from partgap.roots import (
     _is_perfect_power_oracle,
     _screens,
-    delta_k,
     floor_kth_root,
     is_perfect_power,
     nearest_power_distance,
@@ -124,9 +123,8 @@ def test_nearest_power_is_locally_optimal(v, k):
 
 
 def test_delta_record_fields(table_small):
-    rec = delta_k(table_small, 30, 2)
-    assert (rec.n, rec.k, rec.nearest_base, rec.distance) == (30, 2, 75, 21)
-    assert delta_k(table_small, 1, 2).distance == 0
+    assert nearest_power_distance(table_small.p(30), 2) == (75, 21)
+    assert nearest_power_distance(table_small.p(1), 2)[1] == 0
 
 
 def brute_perfect_power(v):

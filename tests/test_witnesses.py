@@ -1,4 +1,3 @@
-import io
 import math
 
 import pytest
@@ -15,12 +14,12 @@ from partgap.witnesses import (
     check_exceptional_powers,
     coverage_scan,
     coverage_witness,
-    coverage_witnesses,
     index_covering,
     load_exceptional_list,
     missed_values,
     parse_exceptional_lines,
     perfect_power_scan,
+    _witness_search,
     _witness_search_oracle,
 )
 
@@ -86,11 +85,9 @@ def test_witness_search_order(table_small):
             continue
         q, a, x = found[0]
         assert (w.prime, w.exponent, w.x) == (q, a, x)
-        all_w = coverage_witnesses(table_small, n)
-        assert [(v.prime, v.exponent, v.x) for v in all_w] == [
-            (q, a, x) for q, a, x in found
-        ]
-        pairs = [(v.prime, v.exponent) for v in all_w]
+        all_w = list(_witness_search(table_small.p(n)))
+        assert [(q, a, x) for x, q, a in all_w] == found
+        pairs = [(q, a) for _, q, a in all_w]
         assert pairs == sorted(pairs)
 
 
@@ -152,8 +149,9 @@ def test_load_round_trip(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("".join("%d %d %d %d\n" % t for t in SIX_TUPLES))
     assert load_exceptional_list(str(path)) == SIX_TUPLES
-    stream = io.StringIO("2 1 3 3\n")
-    assert load_exceptional_list(stream) == (ExceptionalTuple(2, 1, 3, 3),)
+    one = tmp_path / "one.txt"
+    one.write_text("2 1 3 3\n")
+    assert load_exceptional_list(str(one)) == (ExceptionalTuple(2, 1, 3, 3),)
 
 
 def test_index_covering():
@@ -210,8 +208,9 @@ def test_check_flags_planted_hit():
     fake = PartitionTable(values=tuple(values), n_max=200)
     report = check_exceptional_powers(SIX_TUPLES, fake)
     assert not report.all_clear
-    assert [c.candidate for c in report.hits] == [ExceptionalTuple(2, 1, 3, 3)]
-    assert report.hits[0].lookup.index == 9
+    hits = [c for c in report.checks if c.lookup.index is not None]
+    assert [c.candidate for c in hits] == [ExceptionalTuple(2, 1, 3, 3)]
+    assert hits[0].lookup.index == 9
 
 
 def test_power_scan_clear_range(table_mid):
@@ -252,19 +251,14 @@ def test_power_scan_empty_and_bad_ranges(table_small):
 def test_screened_witnesses_match_oracle_on_constructed_values(x, q, a, step):
     v = x * x + q**a + step
     table = PartitionTable(values=(v,), n_max=0)
-    want = [
-        CoverageWitness(n=0, x=wx, prime=wq, exponent=wa)
-        for wx, wq, wa in _witness_search_oracle(v)
-    ]
-    assert coverage_witnesses(table, 0) == want
+    want = list(_witness_search_oracle(v))
+    assert list(_witness_search(v)) == want
+    assert coverage_witness(table, 0) == (CoverageWitness(0, *want[0]) if want else None)
     if step == 0 and x % q:
-        assert CoverageWitness(n=0, x=x, prime=q, exponent=a) in want
+        assert (x, q, a) in want
 
 
 def test_screened_witnesses_match_oracle_on_partition_numbers(table_mid):
     for n in range(0, 2001, 7):
-        want = [
-            CoverageWitness(n=n, x=x, prime=q, exponent=a)
-            for x, q, a in _witness_search_oracle(table_mid.p(n))
-        ]
-        assert coverage_witnesses(table_mid, n) == want
+        v = table_mid.p(n)
+        assert list(_witness_search(v)) == list(_witness_search_oracle(v))
