@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -221,10 +222,10 @@ def load_table(path: str, n_max: int | None = None) -> PartitionTable:
 
     The value count must match the header.  Only p(0..n_max) is parsed
     and returned (the whole file when n_max is None), and only that part
-    is checked: p(0..min(n_max, 64)) must equal a fresh build, and every
-    value must satisfy Ramanujan's congruences p(5n+4) = 0 (mod 5),
-    p(7n+5) = 0 (mod 7) and p(11n+6) = 0 (mod 11).  Raises ValueError
-    otherwise.
+    is checked: p(0..min(n_max, 64)) must equal a fresh build, p(1..n_max)
+    must be strictly increasing, and every value must satisfy Ramanujan's
+    congruences p(5n+4) = 0 (mod 5), p(7n+5) = 0 (mod 7) and
+    p(11n+6) = 0 (mod 11).  Raises ValueError otherwise.
     """
     with open(path, "rb") as fh:
         size = int(fh.readline())
@@ -243,6 +244,12 @@ def load_table(path: str, n_max: int | None = None) -> PartitionTable:
     if vals[: head + 1] != build_table(head).values:
         raise ValueError(
             "cache file %s: p(0..%d) differ from the recurrence" % (path, head)
+        )
+    if not all(map(operator.lt, vals[1:hi], vals[2:])):
+        n = next(n for n in range(2, hi + 1) if vals[n] <= vals[n - 1])
+        raise ValueError(
+            "cache file %s: p(%d) is not above p(%d), as p(n) must be for n >= 2"
+            % (path, n, n - 1)
         )
     for modulus, offset in ((5, 4), (7, 5), (11, 6)):
         for n in range(offset, hi + 1, modulus):

@@ -11,13 +11,34 @@ Two complementary checks on p(n):
 
 Both are finite-range verifications over a table, not proofs about all n.
 
-Both scans screen before they root.  The direct scan relies on the
-residue screens of :func:`partgap.roots.is_perfect_power`.  The witness
-search takes isqrt(p(n) - q^a) only when p(n) - q^a is a square modulo
-64 and modulo 45045 = 9*5*7*11*13; a square is one modulo every m, so
-the screen only skips decompositions that cannot exist.  About one rest
-in 120 passes, and the witnesses and their order are those of the
-unscreened :func:`_witness_search_oracle`.
+Both scans screen before they root, with table-driven screens that
+never change an answer.
+
+The witness search needs isqrt(p(n) - q^a) only when p(n) - q^a is a
+square modulo 64 and modulo 45045; by the Chinese remainder theorem the
+second holds exactly when it is a square modulo each of 9, 5, 7, 11 and
+13.  For each prime q and each of these six moduli m, q^a mod m is
+periodic in a after a short preperiod, so a per-q list indexed by
+v mod m holds a bitmask over exponents: bit a is set when v - q^a is a
+square mod m.  The AND of the six masks is exactly the set of a that
+pass the screen, and a <= bit_length(v) // (bit_length(q) - 1) bounds
+every a with q^a < v.  The search walks the surviving bits in ascending
+order and stops at the first q^a >= v, so isqrt runs on the same (q, a)
+pairs as a pair-by-pair screen, about 1 in 120, and the witnesses and
+their order are those of the unscreened :func:`_witness_search_oracle`.
+The masks are built on first use per q and lengthened (at least
+doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
+for the 25 primes.
+
+The direct scan runs column-wise: each prime exponent q, ascending,
+filters every still-open n through the residue screens of
+:func:`partgap.roots.is_perfect_power`, one comprehension per screen,
+and only the survivors get an exact root; the first exact root closes n, so the
+smallest prime exponent wins as it does value by value.
+
+On a 2-core x86-64 host (``BENCH_scan.json``), ``coverage_scan(0, 3000)``
+takes 0.09-0.10 s instead of 0.69-0.84 s, and ``perfect_power_scan`` over
+p(2..25000) 0.39-0.44 s instead of 0.86-0.97 s.
 """
 
 from __future__ import annotations
@@ -34,7 +55,13 @@ from .partitions import (
     build_table,
     is_partition_number,
 )
-from .roots import PowerWitness, _screens, is_perfect_power
+from .roots import (
+    PowerWitness,
+    _screens,
+    floor_kth_root,
+    is_perfect_power,
+    prime_exponents_up_to,
+)
 
 PRIMES_UNDER_100 = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -53,25 +80,76 @@ class CoverageWitness(NamedTuple):
     exponent: int
 
 
+# Moduli of the square screen: 64 and the CRT factors of 45045.
+_SQUARE_MODULI = (64, 9, 5, 7, 11, 13)
+# q -> (length, one list per modulus of the exponent masks by residue),
+# filled on first use and lengthened when a larger v needs more exponents
+_MASKS: dict[int, tuple[int, tuple[list[int], ...]]] = {}
+
+
+def _witness_masks(q: int, length: int) -> tuple[list[int], ...]:
+    """Per modulus m in _SQUARE_MODULI, a list over r = v mod m of masks
+    whose bit a (1 <= a <= at least ``length``) is set exactly when
+    r - q^a is a square modulo m.
+
+    q^a mod m runs through a preperiod of ``head`` residues (nonempty
+    only when q divides m) and then a period; the masks of one period
+    are built bit by bit and repeated by a repunit multiplication.
+    """
+    entry = _MASKS.get(q)
+    if entry is not None and entry[0] >= length:
+        return entry[1]
+    # at least double, so a scan of growing values rebuilds rarely
+    length = max(length, 2 * entry[0] if entry else 64)
+    tables = []
+    for m in _SQUARE_MODULI:
+        squares = {x * x % m for x in range(m // 2 + 1)}
+        seen: dict[int, int] = {}  # q^a mod m -> a - 1, until one repeats
+        p = q % m
+        while p not in seen:
+            seen[p] = len(seen)
+            p = p * q % m
+        head = seen[p]
+        period = len(seen) - head
+        # bit a of head_rows for a <= head, bit a - head - 1 of period_rows after
+        head_rows, period_rows = [0] * m, [0] * m
+        for p, j in seen.items():
+            rows, bit = (head_rows, 1 << (j + 1)) if j < head else (period_rows, 1 << (j - head))
+            for s in squares:
+                rows[(s + p) % m] |= bit  # r - q^a = s is a square mod m
+        reps = -(-(length - head) // period)
+        repunit = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
+        tables.append([h | (c * repunit) << (head + 1) for h, c in zip(head_rows, period_rows)])
+    _MASKS[q] = (length, tuple(tables))
+    return tuple(tables)
+
+
 def _witness_search(v: int):
     # x = 0 never qualifies (every q divides 0), so q^a stays below v.
-    # v - q^a gets its isqrt only if it is a square modulo both square
-    # screen moduli, tracked in small ints: (v mod m - q^a mod m) mod m
-    (m1, squares1), (m2, squares2) = _screens(2)
-    v1, v2 = v % m1, v % m2
+    # q^a < v needs a <= bit_length(v) // (bit_length(q) - 1); of those
+    # a, the masks keep the ones where v - q^a is a square modulo 64 and
+    # modulo each of 9, 5, 7, 11, 13, i.e. modulo 45045 by the CRT
+    r64, r45045 = v % 64, v % 45045
+    r9, r5, r7, r11, r13 = r45045 % 9, r45045 % 5, r45045 % 7, r45045 % 11, r45045 % 13
+    bits = v.bit_length()
     for q in PRIMES_UNDER_100:
-        power, a = q, 1
-        p1, p2 = q, q
-        while power < v:
-            if (v1 - p1) % m1 in squares1 and (v2 - p2) % m2 in squares2:
-                rest = v - power
-                x = math.isqrt(rest)
-                if x * x == rest and x % q != 0:
-                    yield x, q, a
-            power *= q
-            a += 1
-            p1 = p1 * q % m1
-            p2 = p2 * q % m2
+        top = bits // (q.bit_length() - 1)
+        t64, t9, t5, t7, t11, t13 = _witness_masks(q, top)
+        mask = (
+            t64[r64] & t9[r9] & t5[r5] & t7[r7] & t11[r11] & t13[r13]
+            & ((2 << top) - 1)
+        )
+        while mask:
+            low = mask & -mask
+            a = low.bit_length() - 1
+            power = q**a
+            if power >= v:
+                break
+            rest = v - power
+            x = math.isqrt(rest)
+            if x * x == rest and x % q != 0:
+                yield x, q, a
+            mask ^= low
 
 
 def _witness_search_oracle(v: int):
@@ -302,9 +380,32 @@ def perfect_power_scan(
         raise ValueError(
             "scan range [%d, %d] outside table 0..%d" % (n_lo, n_hi, table.n_max)
         )
-    hits: list[tuple[int, PowerWitness]] = []
+    vals = table.values
+    found: dict[int, PowerWitness] = {}
+    candidates = []
     for n in range(n_lo, n_hi + 1):
-        w = is_perfect_power(table.values[n])
-        if w is not None:
-            hits.append((n, w))
-    return hits
+        if vals[n] < 2:
+            found[n] = is_perfect_power(vals[n])  # 0^2, 1^2, or raises
+        else:
+            candidates.append(n)
+    # column-wise, in the order is_perfect_power tries exponents: each
+    # prime q up to bit_length(p(n)) screens every open n, and only the
+    # survivors get the exact root; the first exact root closes n
+    candidates.sort(key=lambda n: vals[n].bit_length(), reverse=True)
+    top = vals[candidates[0]].bit_length() if candidates else 0
+    for q in prime_exponents_up_to(top):
+        while candidates and vals[candidates[-1]].bit_length() < q:
+            candidates.pop()  # p(n) < 2^q is no q-th power
+        if not candidates:
+            break
+        survivors = candidates
+        for m, residues in _screens(q):
+            survivors = [n for n in survivors if vals[n] % m in residues]
+        before = len(found)
+        for n in survivors:
+            root, exact = floor_kth_root(vals[n], q)
+            if exact:
+                found[n] = PowerWitness(base=root, exponent=q)
+        if len(found) > before:
+            candidates = [n for n in candidates if n not in found]
+    return sorted(found.items())

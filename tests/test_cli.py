@@ -404,6 +404,22 @@ def test_cache_rejects_forged_values(capsys, tmp_path):
     assert "recurrence" in err
 
 
+def test_cache_rejects_value_out_of_order(capsys, tmp_path):
+    # 198 is in none of Ramanujan's congruence classes, so only the
+    # monotonicity check can catch a forged p(198)
+    assert run(capsys, "pn", "300", "--cache", str(tmp_path))[0] == 0
+    path = tmp_path / "ptable_300.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    assert int(lines[199]) == partgap.partitions.build_table(198).values[198]
+    lines[199] = "12345\n"  # line 200: the header, then p(0..197)
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, "pn", "198", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert "ptable_300.txt" in err
+    assert "p(198) is not above p(197)" in err
+
+
 def test_cache_file_name_must_match_header(capsys, tmp_path):
     table = partgap.partitions.build_table(40)
     partgap.partitions.save_table(table, str(tmp_path / "ptable_50.txt"))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 import partgap.witnesses
 from partgap.partitions import PartitionTable, build_table
+from partgap.roots import _is_perfect_power_oracle
 from partgap.witnesses import (
     PRIMES_UNDER_100,
     CoverageWitness,
@@ -19,6 +21,7 @@ from partgap.witnesses import (
     missed_values,
     parse_exceptional_lines,
     perfect_power_scan,
+    _witness_masks,
     _witness_search,
     _witness_search_oracle,
 )
@@ -262,3 +265,97 @@ def test_screened_witnesses_match_oracle_on_partition_numbers(table_mid):
     for n in range(0, 2001, 7):
         v = table_mid.p(n)
         assert list(_witness_search(v)) == list(_witness_search_oracle(v))
+
+
+@pytest.mark.parametrize("q", PRIMES_UNDER_100)
+@pytest.mark.parametrize("m", (64, 9, 5, 7, 11, 13))
+def test_witness_mask_bits(q, m):
+    # preperiod and period of q^a mod m, then bit a of the mask at
+    # residue r, up to the length the masks claim: is r - q^a a square
+    # mod m?
+    powers = [q**a % m for a in range(1, 2 * m + 2)]
+    head = next(i for i in range(m) if powers[i] in powers[i + 1 :])
+    period = powers[head + 1 :].index(powers[head]) + 1
+    tables = _witness_masks(q, head + 2 * period)
+    top = partgap.witnesses._MASKS[q][0]
+    assert top >= head + 2 * period
+    rows = tables[partgap.witnesses._SQUARE_MODULI.index(m)]
+    squares = {x * x % m for x in range(m)}
+    assert len(rows) == m
+    for r in range(m):
+        for a in range(top + 1):
+            want = a >= 1 and (r - q**a) % m in squares
+            assert (rows[r] >> a) & 1 == want, (q, m, r, a)
+
+
+@st.composite
+def witness_probes(draw):
+    # values at the edges of the exponent search: q^a itself, its
+    # neighbours, q^a + x^2 with q dividing x or not, and values near
+    # the bit-length bound 2^(a (bit_length(q) - 1)) on the exponent
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 13) + PRIMES_UNDER_100[6:]))
+    a = draw(st.integers(min_value=1, max_value=60))
+    x = draw(st.integers(min_value=1, max_value=10**12))
+    kind = draw(st.sampled_from(("power", "below", "above", "x", "qx", "bound")))
+    power = q**a
+    if kind == "bound":
+        return (1 << a * (q.bit_length() - 1)) + draw(st.integers(-2, 2))
+    return {
+        "power": power,
+        "below": power - 1,
+        "above": power + 1,
+        "x": power + x * x,
+        "qx": power + (q * x) ** 2,
+    }[kind]
+
+
+@given(witness_probes(), witness_probes())
+@settings(max_examples=300, deadline=None)
+def test_witness_masks_grow_and_match_oracle(v, w):
+    # start from no masks, search the smaller value, then the larger:
+    # the masks are first built short and then lengthened
+    partgap.witnesses._MASKS.clear()
+    small, large = sorted((v, w))
+    for u in (small, large, small):
+        assert list(_witness_search(u)) == list(_witness_search_oracle(u))
+    assert partgap.witnesses._MASKS[2][0] >= large.bit_length()
+
+
+def column_scan_table():
+    # not monotone, with 0 and 1 past n = 1, repeated values, powers
+    # whose smallest prime exponent must win (2^30 = (2^15)^2 and
+    # 3^35 = (3^7)^5), q-th powers up to q = 61 and their neighbours
+    values = [1, 0, 0, 1, 5, 1, 2**30, 3**35, 2**30, 10**40, 7]
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for y in (2, 3, 10, 6**5):
+            values += [y**q, y**q - 1, y**q + 1]
+    random.Random(14).shuffle(values[4:])
+    return PartitionTable(values=tuple(values), n_max=len(values) - 1)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, None), (1, None), (2, None), (0, 0), (1, 1), (9, 9), (30, 20), (40, 90)])
+def test_column_scan_matches_oracle(lo, hi):
+    table = column_scan_table()
+    hi = table.n_max if hi is None else hi
+    want = [
+        (n, w)
+        for n in range(lo, hi + 1)
+        if (w := _is_perfect_power_oracle(table.values[n])) is not None
+    ]
+    assert perfect_power_scan(table, lo, hi) == want
+
+
+def test_column_scan_smallest_exponent_and_trivial_values():
+    values = (1, 1, 0, 3**35, 1, 2**30, 2**61, 2**61 + 1)
+    table = PartitionTable(values=values, n_max=7)
+    hits = [(n, w.base, w.exponent) for n, w in perfect_power_scan(table, 0)]
+    assert hits == [
+        (0, 1, 2), (1, 1, 2), (2, 0, 2), (3, 3**7, 5), (4, 1, 2),
+        (5, 2**15, 2), (6, 2, 61),
+    ]
+
+
+def test_column_scan_rejects_negative_values():
+    table = PartitionTable(values=(1, 1, 4, -8), n_max=3)
+    with pytest.raises(ValueError):
+        perfect_power_scan(table)
