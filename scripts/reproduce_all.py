@@ -2,8 +2,8 @@
 """Regenerate every shipped table and data series, then diff against
 the frozen reference values.
 
-Computes each artifact of ``partgap.artifacts.REGISTRY`` off one shared
-set of sweeps (a record walk per k, one near-power event sweep),
+Computes each artifact of ``partgap.artifacts.REGISTRY`` off one table,
+which keeps one record walk per k, and one near-power event sweep,
 writes it as CSV into --out and prints one OK/MISMATCH line per
 artifact, plus one for the refit of the k = 50 model.  Exits 1 when
 anything differs from the reference.
@@ -43,18 +43,17 @@ def main(argv=None):
 
     table = build_table(args.n_max)
     print("built p(0..%d) in %.1fs" % (args.n_max, time.time() - t0))
-    shared = artifacts.Shared()
     all_ok = True
     for artifact in artifacts.REGISTRY:
-        rows = artifact.compute(table, shared)
+        rows = artifact.compute(table)
         with open(out / ("%s.csv" % artifact.name.replace("-", "_")), "w", newline="") as fh:
             artifacts.write_csv(fh, artifact.header, rows)
         mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
         all_ok &= report(artifact.name, not mismatches)
 
-    # the k = 50 walk the figure data took
+    # the k = 50 walk the figure data kept on the table
     d_values = [10**i for i in DEFAULT_EXPONENTS]
-    rows = threshold_rows(table, d_values, (50,), shared.walks)
+    rows = threshold_rows(table, d_values, (50,))
     refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     anchors_ok = all(
         abs(evaluate(refit, d) - m) <= 0.10 * m for d, m in reference.FIT_ANCHORS

@@ -1,16 +1,13 @@
 """The paper's tables as artifacts, and the one comparison with ``reference``.
 
-An artifact has a name, its CSV header, ``compute(table, shared)``
-returning its rows over the whole table, and its frozen reference rows
-in the same layout.
+An artifact has a name, its CSV header, ``compute(table)`` returning
+its rows over the whole table, and its frozen reference rows in the
+same layout.
 The first ``keys`` columns of a row name it and each further column is
 one cell; :func:`diff` compares cells for the CLI ``--check`` mode,
-``scripts/reproduce_all.py`` and the acceptance tests.
-
-``shared`` is a :class:`Shared`, one per table: it keeps the record
-walk of each k, so artifacts computed on one table walk each k once.
-A CLI command passes a fresh one, ``scripts/reproduce_all.py`` one for
-every artifact and its refit.
+``scripts/reproduce_all.py`` and the acceptance tests.  The table keeps
+its record walks (``PartitionTable.walks``), so artifacts computed on
+one table walk each k once.
 """
 
 from __future__ import annotations
@@ -20,19 +17,8 @@ from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 from . import reference, repulsion
+from .partitions import PartitionTable
 from .roots import nearest_power_distance
-
-
-class Shared:
-    """What the artifacts computed on one table share: ``walks``, the
-    record walk of each k as :func:`repulsion.threshold_rows` keeps it
-    under (k, table.n_max), and ``events``, a near-power event set for
-    ``table4``, its only reader.  Left ``None``, ``table4`` sweeps the
-    events itself, after its input checks."""
-
-    def __init__(self, events: repulsion.EventSet | None = None):
-        self.walks: dict = {}
-        self.events = events
 
 
 @dataclass(frozen=True)
@@ -42,7 +28,7 @@ class Artifact:
     name: str
     header: tuple[str, ...]
     keys: int  # leading columns that name a row; the rest are its cells
-    compute: Callable[..., list[list[int]]]
+    compute: Callable[[PartitionTable], list[list[int]]]
     reference: tuple[tuple[int, ...], ...]
 
     def cells(self, rows) -> dict[str, int]:
@@ -81,16 +67,22 @@ def write_csv(stream: IO[str], header: Sequence[str], rows) -> None:
     writer.writerows(rows)
 
 
+def _m_k_d_rows(name: str, key: str, d_values, ks, published) -> Artifact:
+    """Rows [key, m_k_d for each k] at fixed d: row i is taken at
+    d_values[i] and keyed as published row i."""
+    keys = [row[0] for row in published]
+
+    def compute(table):
+        rows = repulsion.threshold_rows(table, d_values, ks)
+        return [[x, *cells] for x, (_, cells) in zip(keys, rows)]
+
+    header = (key, *("k%d" % k for k in ks))
+    return Artifact(name, header, 1, compute, tuple(published))
+
+
 def _threshold_table(name: str, published: tuple) -> Artifact:
-    ks = reference.REFERENCE_K_VALUES
-    d_values = tuple(d for d, _ in published)
-
-    def compute(table, shared):
-        rows = repulsion.threshold_rows(table, d_values, ks, shared.walks)
-        return [[d, *cells] for d, cells in rows]
-
-    header = ("d", *("k%d" % k for k in ks))
-    return Artifact(name, header, 1, compute, tuple((d, *c) for d, c in published))
+    rows = tuple((d, *cells) for d, cells in published)
+    return _m_k_d_rows(name, "d", [d for d, _ in published], reference.REFERENCE_K_VALUES, rows)
 
 
 def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Artifact:
@@ -99,30 +91,22 @@ def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Art
     if not ks:
         raise ValueError("no reference series for k in %r" % (tuple(k_values),))
     exps = repulsion.DEFAULT_EXPONENTS
-    d_values = [10**i for i in exps]
-
-    def compute(table, shared):
-        rows = repulsion.threshold_rows(table, d_values, ks, shared.walks)
-        return [[i, *cells] for i, (_, cells) in zip(exps, rows)]
-
-    header = ("i", *("k%d" % k for k in ks))
-    published = zip(exps, *(reference.FIGURE_SERIES[k] for k in ks))
-    return Artifact("figure-data", header, 1, compute, tuple(published))
+    published = tuple(zip(exps, *(reference.FIGURE_SERIES[k] for k in ks)))
+    return _m_k_d_rows("figure-data", "i", [10**i for i in exps], ks, published)
 
 
 def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
     """The runs of n_d over 0..d_max, against the reference runs clipped there."""
 
-    def compute(table, shared):
-        runs = repulsion.n_d_intervals(table, d_max, shared.events)
-        return [list(run) for run in runs]
+    def compute(table):
+        return [list(run) for run in repulsion.n_d_intervals(table, d_max)]
 
     runs = reference.TABLE4_INTERVALS
     clipped = tuple((lo, min(hi, d_max), n) for lo, hi, n in runs if lo <= d_max)
     return Artifact("table4", ("d_lo", "d_hi", "n_d"), 2, compute, clipped)
 
 
-def _table1(table, shared):
+def _table1(table):
     samples = ((n, table.p(n)) for n, _ in reference.SAMPLE_P)
     return [[n, v, *(nearest_power_distance(v, k)[1] for k in (2, 3, 4))] for n, v in samples]
 

@@ -23,6 +23,7 @@ from . import artifacts, fitting, reference, repulsion, witnesses
 from .partitions import (
     PartitionTable,
     build_table,
+    cache_int,
     dump_values,
     hardy_ramanujan_estimate,
     load_table,
@@ -64,7 +65,7 @@ def _acquire_table(args, n_max: int) -> PartitionTable:
         size, name = min(candidates)
         path = os.path.join(directory, name)
         with open(path, "rb") as fh:
-            header = int(fh.readline())
+            header = cache_int(path, 1, fh.readline())
         if header != size:
             raise ValueError(
                 "cache file %s: file name says n_max=%d but header says %d"
@@ -147,7 +148,7 @@ def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
 def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
     """Compute an artifact's rows, then check them or print them
     (``json_of(rows)`` is the object ``--format json`` prints)."""
-    rows = artifact.compute(_acquire_table(args, n_max), artifacts.Shared())
+    rows = artifact.compute(_acquire_table(args, n_max))
     if args.check:
         return _check_outcome(artifact, rows)
     _emit_table(args, artifact.header, rows, json_of(rows))

@@ -18,7 +18,7 @@ import math
 import operator
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, NamedTuple
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
@@ -33,11 +33,15 @@ class PartitionTable:
 
     Immutable; to cover a larger range, build a new table.  ``values`` is
     a tuple so a table can be shared across threads and hashed fixtures
-    without defensive copies.
+    without defensive copies.  ``walks`` is a memo that
+    :func:`repulsion.threshold_rows` fills, k -> (ascending distances,
+    their n) of the record walk over this table; it takes no part in
+    construction, equality, hashing or repr.
     """
 
     values: tuple[int, ...]
     n_max: int
+    walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != self.n_max + 1:
@@ -217,23 +221,44 @@ def save_table(table: PartitionTable, path: str) -> None:
         raise
 
 
+def cache_int(path: str, lineno: int, line: bytes) -> int:
+    """Line ``lineno`` of the saved table at ``path`` as an int; the
+    ValueError for anything else names the file and the line."""
+    try:
+        return int(line)
+    except ValueError:
+        shown = repr(line.strip())[1:]  # as a str literal: 'abc', '2\xff', ''
+        raise ValueError(
+            "cache file %s: line %d is not an integer: %s" % (path, lineno, shown)
+        ) from None
+
+
 def load_table(path: str, n_max: int | None = None) -> PartitionTable:
     """Inverse of save_table, validated before it is trusted.
 
-    The value count must match the header.  Only p(0..n_max) is parsed
-    and returned (the whole file when n_max is None), and only that part
-    is checked: p(0..min(n_max, 64)) must equal a fresh build, p(1..n_max)
-    must be strictly increasing, and every value must satisfy Ramanujan's
-    congruences p(5n+4) = 0 (mod 5), p(7n+5) = 0 (mod 7) and
-    p(11n+6) = 0 (mod 11).  Raises ValueError otherwise.
+    The header and each value read must be an integer (see
+    :func:`cache_int`), and the value count must match the header.  Only
+    p(0..n_max) is parsed and returned (the whole file when n_max is
+    None), and only that part is checked: p(0..min(n_max, 64)) must
+    equal a fresh build, p(1..n_max) must be strictly increasing, and
+    every value must satisfy Ramanujan's congruences p(5n+4) = 0
+    (mod 5), p(7n+5) = 0 (mod 7) and p(11n+6) = 0 (mod 11).  Raises
+    ValueError otherwise.
     """
     with open(path, "rb") as fh:
-        size = int(fh.readline())
+        size = cache_int(path, 1, fh.readline())
         hi = size if n_max is None else n_max
         if not 0 <= hi <= size:
             raise ValueError("cache file %s: n_max=%d outside 0..%d" % (path, hi, size))
         lines = (line for line in fh if line.strip())
-        vals = tuple(map(int, itertools.islice(lines, hi + 1)))
+        try:
+            vals = tuple(map(int, itertools.islice(lines, hi + 1)))
+        except ValueError:  # a second pass names the line
+            fh.seek(0)
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    cache_int(path, lineno, line)
+            raise
         count = len(vals) + sum(1 for _ in lines)  # the rest, counted unparsed
     if count != size + 1:
         raise ValueError(

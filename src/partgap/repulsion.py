@@ -88,29 +88,25 @@ def threshold_rows(
     table: PartitionTable,
     d_values: Sequence[int],
     k_values: Sequence[int],
-    walks: dict | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
 
     The published grids mix a d = 0 row with powers of ten; this is the
     row-oriented builder for those layouts.  Each k is one full record
-    walk (see :func:`m_k_d`), bisected at every d.  ``walks`` is a cache
-    a caller keeps across calls: each walk is stored there under
-    (k, table.n_max), so a table and a cut of it keep theirs apart, as
-    its distances and its n in ascending order of distance, and read
-    back instead of taken again.
+    walk (see :func:`m_k_d`), bisected at every d.  The walk is kept in
+    ``table.walks[k]``, its distances and their n in ascending order of
+    distance, so later calls on the same table read it back; a cut
+    table is another object and walks its own range.
     """
     if any(k < 2 for k in k_values):
         raise ValueError("every k must be >= 2")
     if any(d < 0 for d in d_values):
         raise ValueError("thresholds must be >= 0")
-    walks = {} if walks is None else walks
     cols = []
     for k in k_values:
-        key = k, table.n_max
-        if key not in walks:
-            walks[key] = tuple(zip(*reversed(list(_records(table, k)))))
-        dists, ns = walks[key]
+        if k not in table.walks:
+            table.walks[k] = tuple(zip(*reversed(list(_records(table, k)))))
+        dists, ns = table.walks[k]
         # the walk's last record has distance 0, so the bisect never misses
         cols.append([ns[bisect.bisect_right(dists, d) - 1] for d in d_values])
     return [(d, tuple(col[i] for col in cols)) for i, d in enumerate(d_values)]

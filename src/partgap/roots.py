@@ -25,6 +25,7 @@ residues per prime l, and the 12 squares modulo 64 and 2016 modulo 45045.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -142,10 +143,6 @@ class PowerWitness(NamedTuple):
     exponent: int
 
 
-# q -> ((m, q-th-power residues mod m), ...), filled on first use
-_SCREENS: dict[int, tuple[tuple[int, frozenset[int]], ...]] = {}
-
-
 def _power_residues(q: int, m: int) -> frozenset[int]:
     if q == 2:
         return frozenset(x * x % m for x in range(m // 2 + 1))
@@ -163,6 +160,7 @@ def _power_residues(q: int, m: int) -> frozenset[int]:
             return frozenset(residues)
 
 
+@functools.cache
 def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     """(modulus, q-th-power residues) pairs that every q-th power passes.
 
@@ -171,19 +169,16 @@ def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     primes m = 1 (mod q), where a non-power passes each with probability
     about 1/q.
     """
-    screens = _SCREENS.get(q)
-    if screens is None:
-        if q == 2:
-            moduli = [64, 45045]
-        else:
-            moduli = []
-            m = 1
-            while len(moduli) < 2:
-                m += 2 * q  # m stays odd and = 1 (mod q)
-                if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
-                    moduli.append(m)
-        screens = _SCREENS[q] = tuple((m, _power_residues(q, m)) for m in moduli)
-    return screens
+    if q == 2:
+        moduli = [64, 45045]
+    else:
+        moduli = []
+        m = 1
+        while len(moduli) < 2:
+            m += 2 * q  # m stays odd and = 1 (mod q)
+            if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
+                moduli.append(m)
+    return tuple((m, _power_residues(q, m)) for m in moduli)
 
 
 def is_perfect_power(v: int) -> PowerWitness | None:

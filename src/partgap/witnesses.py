@@ -255,12 +255,14 @@ def parse_exceptional_lines(lines: Iterable[str]) -> tuple[ExceptionalTuple, ...
     """Parse whitespace-separated rows ``prime exponent base power``.
 
     Blank lines and ``#`` comments are skipped.  Raises ValueError with
-    the line number on malformed rows or on tuples that fail the
-    defining identity.
+    the line number on non-ASCII or malformed rows, or on tuples that
+    fail the defining identity.
     """
     out: list[ExceptionalTuple] = []
     for lineno, raw in enumerate(lines, start=1):
         where = "line %d" % lineno
+        if not raw.isascii():
+            raise ValueError("%s: not ASCII" % where)
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -278,9 +280,14 @@ def parse_exceptional_lines(lines: Iterable[str]) -> tuple[ExceptionalTuple, ...
 
 
 def load_exceptional_list(path: str) -> tuple[ExceptionalTuple, ...]:
-    """Read an exceptional-tuple file."""
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_exceptional_lines(fh)
+    """Read an exceptional-tuple file; an error names the file and line."""
+    # a byte past ASCII decodes to a lone surrogate, which the parse
+    # rejects with its line number
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        try:
+            return parse_exceptional_lines(fh)
+        except ValueError as e:
+            raise ValueError("%s: %s" % (path, e)) from None
 
 
 def bundled_exceptional_list() -> tuple[ExceptionalTuple, ...]:

@@ -1,6 +1,5 @@
 import pytest
 
-from partgap.artifacts import Shared
 from partgap.partitions import build_table
 from partgap.repulsion import near_power_events
 
@@ -18,12 +17,6 @@ def table_mid():
 @pytest.fixture(scope="session")
 def table25k():
     return build_table(25000)
-
-
-@pytest.fixture(scope="session")
-def shared25k():
-    # one record walk per k over table25k, shared by the threshold checks
-    return Shared()
 
 
 @pytest.fixture(scope="session")

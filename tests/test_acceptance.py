@@ -9,10 +9,10 @@ import random
 import time
 
 from partgap import reference
-from partgap.artifacts import TABLE1, TABLE2, TABLE3, Shared, diff, figure_data, table4
+from partgap.artifacts import TABLE1, TABLE2, TABLE3, diff, figure_data, table4
 from partgap.fitting import LogPolyModel, evaluate, fit_log_poly
 from partgap.partitions import build_table, count_partitions_oracle, p1, psi
-from partgap.repulsion import n_d_batch, threshold_rows
+from partgap.repulsion import n_d_batch, n_d_intervals, threshold_rows
 from partgap.roots import floor_kth_root
 from partgap.witnesses import (
     bundled_exceptional_list,
@@ -25,23 +25,23 @@ from partgap.witnesses import (
 
 def test_criterion_01_table1_exact():
     start = time.perf_counter()
-    rows = TABLE1.compute(build_table(50), Shared())
+    rows = TABLE1.compute(build_table(50))
     assert diff(TABLE1.cells(rows), TABLE1.want) == []
     assert time.perf_counter() - start < 1.0
     print("criterion 1 PASS: table 1 exact, %d cells" % len(TABLE1.want))
 
 
-def test_criterion_02_table2_exact(table25k, shared25k):
-    rows = TABLE2.compute(table25k, shared25k)
+def test_criterion_02_table2_exact(table25k):
+    rows = TABLE2.compute(table25k)
     assert diff(TABLE2.cells(rows), TABLE2.want) == []
     print(
         "criterion 2 PASS: table 2 exact, %d cells at n_max=25000" % len(TABLE2.want)
     )
 
 
-def test_criterion_03_figure_series_exact(table25k, shared25k):
+def test_criterion_03_figure_series_exact(table25k):
     artifact = figure_data((2,))
-    rows = artifact.compute(table25k, shared25k)
+    rows = artifact.compute(table25k)
     assert diff(artifact.cells(rows), artifact.want) == []
     coords = dict(rows)
     assert coords[3] == 143
@@ -50,8 +50,8 @@ def test_criterion_03_figure_series_exact(table25k, shared25k):
     print("criterion 3 PASS: figure series for k=2 exact, %d points" % len(rows))
 
 
-def test_criterion_04_table3_exact(table25k, shared25k):
-    rows = TABLE3.compute(table25k, shared25k)
+def test_criterion_04_table3_exact(table25k):
+    rows = TABLE3.compute(table25k)
     assert diff(TABLE3.cells(rows), TABLE3.want) == []
     cells = {d: tuple(row) for d, *row in rows}
     assert cells[2][reference.REFERENCE_K_VALUES.index(4)] == 20
@@ -60,18 +60,19 @@ def test_criterion_04_table3_exact(table25k, shared25k):
 
 
 def test_criterion_05_table4_endpoints(table25k, events_full):
-    endpoints = sorted(reference.TABLE4_ENDPOINTS)
-    got = n_d_batch(table25k, endpoints, events=events_full)
-    assert got == reference.TABLE4_ENDPOINTS
+    # n_d at both ends of the first ten published runs
+    want = {d: n for lo, hi, n in reference.TABLE4_INTERVALS[:10] for d in (lo, hi)}
+    endpoints = sorted(want)
+    assert n_d_batch(table25k, endpoints, events=events_full) == want
     # full interval decomposition, including the ranges above 2534:
     # the event sweep answers every d at once, so the long-running
     # part costs nothing extra here
     artifact = table4()
-    rows = artifact.compute(table25k, Shared(events=events_full))
-    assert diff(artifact.cells(rows), artifact.want) == []
+    runs = n_d_intervals(table25k, 270343, events=events_full)
+    assert diff(artifact.cells(runs), artifact.want) == []
     print(
         "criterion 5 PASS: table 4 exact at %d endpoints and all %d runs"
-        % (len(endpoints), len(rows))
+        % (len(endpoints), len(runs))
     )
 
 
@@ -156,7 +157,7 @@ def test_criterion_12_root_correctness():
     print("criterion 12 PASS: exhaustive roots to 10^6 and 10^4 random sandwiches")
 
 
-def test_criterion_13_fit_evaluation(table25k, shared25k):
+def test_criterion_13_fit_evaluation(table25k):
     published = LogPolyModel(
         degree=5,
         coefficients=reference.PUBLISHED_DEG5_WINDOW70,
@@ -166,7 +167,7 @@ def test_criterion_13_fit_evaluation(table25k, shared25k):
         got = evaluate(published, d)
         assert abs(got - m) <= 0.05 * m, "published model off at d=%d" % d
     d_values = [10**i for i in range(0, 71)]
-    rows = threshold_rows(table25k, d_values, (50,), shared25k.walks)
+    rows = threshold_rows(table25k, d_values, (50,))
     refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(refit, d)

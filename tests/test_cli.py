@@ -309,6 +309,14 @@ def test_verify_bs_malformed_list(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_verify_bs_non_ascii_list(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 1 3 3\n2 3 1 3\xff")
+    code, out, err = run(capsys, "verify-bs", "--bs-list", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: %s: line 2: not ASCII\n" % path
+
+
 def test_verify_bs_missing_file(capsys):
     code, _, err = run(capsys, "verify-bs", "--bs-list", "/no/such/file")
     assert code == 2
@@ -391,6 +399,19 @@ def test_cache_corrupt_file(capsys, tmp_path):
     code, _, err = run(capsys, "pn", "400", "--cache", str(tmp_path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content, line, shown",
+    [(b"", 1, "''"), (b"3O\n1\n1\n", 1, "'3O'"), (b"30\n1\n\n1\nabc\n", 5, "'abc'")],
+    ids=["empty", "bad-header", "bad-value"],
+)
+def test_cache_names_the_line_that_is_no_integer(capsys, tmp_path, content, line, shown):
+    path = tmp_path / "ptable_30.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "pn", "5", "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: cache file %s: line %d is not an integer: %s\n" % (path, line, shown)
 
 
 def test_cache_rejects_forged_values(capsys, tmp_path):

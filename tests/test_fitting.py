@@ -39,9 +39,9 @@ def test_higher_degree_never_fits_worse():
         assert b <= a + 1e-9
 
 
-def test_residuals_orthogonal_to_design(table25k, shared25k):
+def test_residuals_orthogonal_to_design(table25k):
     d_values = [10**i for i in range(0, 71)]
-    rows = threshold_rows(table25k, d_values, (50,), shared25k.walks)
+    rows = threshold_rows(table25k, d_values, (50,))
     pts = [(d, m) for d, (m,) in rows]
     model = fit_log_poly(pts, 5)
     residual = [v - evaluate(model, d) for d, v in pts]

@@ -150,6 +150,22 @@ def test_load_rejects_truncated(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        ("", "line 1 is not an integer: ''"),
+        ("ten\n1\n", "line 1 is not an integer: 'ten'"),
+        ("3\n1\n1\n\n2\n3.0\n", "line 6 is not an integer: '3.0'"),
+    ],
+)
+def test_load_names_the_line_that_is_no_integer(tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(ValueError) as err:
+        load_table(str(path))
+    assert str(err.value) == "cache file %s: %s" % (path, message)
+
+
+@pytest.mark.parametrize(
     "n, fragment",
     [(10, "differ from the recurrence"), (119, "by 5"), (117, "by 7"), (116, "by 11")],
 )

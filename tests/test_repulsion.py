@@ -1,3 +1,4 @@
+import collections
 import fractions
 import functools
 import math
@@ -201,24 +202,58 @@ thresholds = st.lists(
     thresholds,
 )
 @settings(max_examples=40, deadline=None)
-def test_threshold_rows_from_shared_walks(size, other, ks, d_first, d_second):
-    # one cache across two d sets, two k orders and a second cut of the
-    # table: each answer equals a fresh call and max{n : distance <= d}
-    # by brute force
+def test_threshold_rows_from_table_walks(size, other, ks, d_first, d_second):
+    # two d sets and two k orders on one cut, then a second cut: each
+    # answer equals a fresh table's and max{n : distance <= d} by brute
+    # force, and each cut keeps the walk of every k asked of it
     table = cached_table(600)
-    walks = {}
+    tables = {n_max: cut(table, n_max) for n_max in (size, other)}
     for n_max, k_values, d_values in (
         (size, ks, d_first),
         (size, ks[::-1], d_second),
         (other, ks, d_first),
     ):
-        rows = threshold_rows(cut(table, n_max), d_values, k_values, walks)
+        rows = threshold_rows(tables[n_max], d_values, k_values)
         assert rows == threshold_rows(cut(table, n_max), d_values, k_values)
         for j, k in enumerate(k_values):
             dists = [nearest_power_distance(table.p(n), k)[1] for n in range(n_max + 1)]
             for d, cells in rows:
                 assert cells[j] == max(n for n, dist in enumerate(dists) if dist <= d)
-    assert set(walks) == {(k, n) for k in ks for n in (size, other)}
+    assert all(set(t.walks) == set(ks) for t in tables.values())
+
+
+def test_threshold_rows_walks_belong_to_their_table():
+    # a table of the same n_max with other values is answered from its
+    # own walk: p(290) = 17^20 puts a 20th power at the top of the fake
+    real = build_table(290)
+    fake = PartitionTable(real.values[:290] + (17**20,), 290)
+    assert threshold_rows(real, (0,), (20,)) == [(0, (1,))]
+    assert threshold_rows(fake, (0,), (20,)) == [(0, (290,))]
+    assert threshold_rows(real, (0,), (20,)) == [(0, (1,))]
+
+
+def test_threshold_rows_walks_each_k_once_per_table(monkeypatch):
+    table = build_table(300)
+    want = m_k_d(cut(table, 200), 2, 10**6)
+    calls = collections.Counter()
+    real = partgap.repulsion._records
+
+    def counted(table, k):
+        calls[table.n_max, k] += 1
+        return real(table, k)
+
+    monkeypatch.setattr(partgap.repulsion, "_records", counted)
+    first = threshold_rows(table, (0, 10**6), (2, 3))
+    assert calls == {(300, 2): 1, (300, 3): 1}
+    again = threshold_rows(table, (0, 10**6), (3, 2))
+    assert calls == {(300, 2): 1, (300, 3): 1}
+    assert [cells[::-1] for _, cells in again] == [cells for _, cells in first]
+    # a cut is a new table: it walks its own range, the original is untouched
+    short = cut(table, 200)
+    assert threshold_rows(short, (10**6,), (2,)) == [(10**6, (want,))]
+    assert calls == {(300, 2): 1, (300, 3): 1, (200, 2): 1}
+    assert set(short.walks) == {2}
+    assert set(table.walks) == {2, 3}
 
 
 @st.composite
@@ -522,7 +557,7 @@ def test_edge_reported_before_event_cap():
 
 
 def test_distance_samples(table_small):
-    rows = TABLE1.compute(table_small, None)
+    rows = TABLE1.compute(table_small)
     assert [r[0] for r in rows] == [10, 20, 30, 40, 50]
     for n, p, *distances in rows:
         assert p == table_small.p(n)
@@ -531,8 +566,8 @@ def test_distance_samples(table_small):
         ]
 
 
-def test_spot_values_at_full_size(table25k, shared25k):
-    rows = dict(threshold_rows(table25k, (0, 1, 10**70), (2, 50, 100), shared25k.walks))
+def test_spot_values_at_full_size(table25k):
+    rows = dict(threshold_rows(table25k, (0, 1, 10**70), (2, 50, 100)))
     assert rows[1][0] == 35  # k = 2, d = 1
     assert rows[0][1] == 1  # k = 50, d = 0
     assert rows[1][1] == 2  # k = 50, d = 1

@@ -140,6 +140,7 @@ def test_parse_accepts_comments_and_blanks():
         ("2 1 1 3", "line 2"),  # base below 2
         ("2 1 3 4", "line 2"),  # 81 - 2 = 79 is not a square
         ("2 2 2 3", "line 2"),  # 8 - 4 = 2^2 but q divides x
+        ("2 1 \u0663 3", "line 2: not ASCII"),  # int() reads this digit as 3
     ],
 )
 def test_parse_rejects_with_line_numbers(line, fragment):
