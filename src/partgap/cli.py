@@ -177,9 +177,8 @@ def cmd_pn(args) -> int:
         print("estimate=%.6g ratio=%.6g" % (est, ratio))
     if args.export:
         # the table reaches p(1) at least; the file holds p(0..n) only
-        exact = PartitionTable(values=table.values[: args.n + 1], n_max=args.n)
         with open(args.export, "w", encoding="ascii") as fh:
-            dump_values(exact, fh)
+            dump_values(PartitionTable(table.values[: args.n + 1]), fh)
     return 0
 
 
@@ -222,11 +221,12 @@ def cmd_threshold_table(args) -> int:
 
 
 def cmd_table4(args) -> int:
-    if args.d_max < 0:
-        raise ValueError("d_max must be >= 0, got %d" % args.d_max)
+    d_max = _parse_threshold(args.d_max)
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0, got %d" % d_max)
     return _run_artifact(
         args,
-        artifacts.table4(args.d_max),
+        artifacts.table4(d_max),
         args.n_max,
         lambda rows: {"n_max": args.n_max, "intervals": rows},
     )
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table4", help="stabilization indices n_d as constant runs over d")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
-    p.add_argument("--d-max", type=int, default=2534)
+    p.add_argument("--d-max", default="2534", metavar="D", help="last d of the runs (integer or 10^i)")
     _add_table(p, cmd_table4)
 
     p = sub.add_parser("figure-data", help="per-k series at d = 10^i, plot-ready")

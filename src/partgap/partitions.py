@@ -29,26 +29,26 @@ MAX_TABLE_SIZE = 5_000_000
 
 @dataclass(frozen=True)
 class PartitionTable:
-    """Values p(0..n_max) as exact integers.
+    """Values p(0..n_max) as exact integers; the values are the table.
 
-    Immutable; to cover a larger range, build a new table.  ``values`` is
-    a tuple so a table can be shared across threads and hashed fixtures
-    without defensive copies.  ``walks`` is a memo that
-    :func:`repulsion.threshold_rows` fills, k -> (ascending distances,
-    their n) of the record walk over this table; it takes no part in
-    construction, equality, hashing or repr.
+    Immutable; to cover a larger range, build a new table, and to cover
+    a shorter one pass a cut, ``PartitionTable(table.values[:n + 1])``.
+    ``values`` is a tuple so a table can be shared across threads and
+    hashed fixtures without defensive copies, and it holds p(0) at
+    least.  ``n_max`` is ``len(values) - 1``, derived once.  ``walks``
+    is a memo that the :mod:`repulsion` threshold queries fill, k ->
+    (ascending distances, their n) of the record walk over this table.
+    Neither takes part in construction, equality or hashing.
     """
 
     values: tuple[int, ...]
-    n_max: int
+    n_max: int = field(init=False, compare=False)
     walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.n_max + 1:
-            raise ValueError(
-                "table length %d does not match n_max=%d"
-                % (len(self.values), self.n_max)
-            )
+        if not self.values:
+            raise ValueError("a table holds p(0) at least; values is empty")
+        object.__setattr__(self, "n_max", len(self.values) - 1)
 
     def p(self, n: int) -> int:
         """p(n), the number of partitions of n.  Raises on out-of-range n."""
@@ -97,7 +97,7 @@ def build_table(n_max: int) -> PartitionTable:
             else:
                 acc -= vals[n - off]
         vals[n] = acc
-    return PartitionTable(values=tuple(vals), n_max=n_max)
+    return PartitionTable(values=tuple(vals))
 
 
 def count_partitions_oracle(n: int, smallest_part: int = 1) -> int:
@@ -283,4 +283,4 @@ def load_table(path: str, n_max: int | None = None) -> PartitionTable:
                     "cache file %s: p(%d) is not divisible by %d, as p(%dn+%d) must be"
                     % (path, n, modulus, modulus, offset)
                 )
-    return PartitionTable(values=vals, n_max=hi)
+    return PartitionTable(values=vals)

@@ -11,13 +11,13 @@ Central quantities, all relative to a finite table p(0..n_max):
 Everything is a finite-range computation over the whole table: results
 are exact for its n_max and agree with the idealized (all-n) quantities
 only as verified lower bounds.  A caller that wants a shorter range
-passes a cut table, ``PartitionTable(table.values[:n + 1], n)``.  The
+passes a cut table, ``PartitionTable(table.values[:n + 1])``.  The
 expensive unit of work is an exact root, and one kernel,
 ``_distances``, takes them all: for one k and the n it is given, it
 yields the distance from p(n) to the nearest k-th power, one root
-bracket per value, lazily and in the order asked.  A threshold walk
-reads it over n = n_max..0 (stopping early), and the near-power event
-sweep over every n below the freeze bound for small k, or for large k
+bracket per value, lazily and in the order asked.  The record walk
+reads it over n = n_max..0, once per k and table, and the near-power
+event sweep over every n below the freeze bound for small k, or for large k
 over the few n whose p(n) lies near one of the k-th powers below
 p(n_max).  Where a k-th root of p(n_max) fits 40 bits, the sweep first
 screens each p(n) with a double, p(n)^(1/k) against the nearest
@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable
@@ -57,9 +57,9 @@ def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tup
 def _records(table: PartitionTable, k: int) -> Iterator[tuple[int, int]]:
     # Walking n = n_max..0, yield (distance, n) at each new minimum distance.
     # The largest n with distance <= d is always one of these records, so
-    # every threshold query is the first record <= d, or a bisect over all
-    # of them.  Distance 0 can fall no further, so the walk stops there;
-    # p(1) = 1^k guarantees it does by n = 1.
+    # every threshold query is a bisect over all of them.  Distance 0 can
+    # fall no further, so the walk stops there; p(1) = 1^k guarantees it
+    # does by n = 1.
     current = None
     for n, dist in _distances(table.values, k, range(table.n_max, -1, -1)):
         if current is None or dist < current:
@@ -73,15 +73,19 @@ def m_k_d(table: PartitionTable, k: int, d: int) -> int:
     """Largest n in the table with p(n) within distance d of a k-th power.
 
     Always defined for d >= 0: p(1) = 1 is exactly 1^k, so the answer is
-    at least 1.  Walks down from the top and stops at the first
-    qualifying n.
+    at least 1.  One bisect over the record walk in ``table.walks[k]``,
+    which the first query for k on a table, here or in
+    :func:`threshold_rows`, walks over the whole table.
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
-    # the walk ends at distance 0 <= d, so a record always qualifies
-    return next(n for dist, n in _records(table, k) if dist <= d)
+    if k not in table.walks:
+        table.walks[k] = tuple(zip(*reversed(list(_records(table, k)))))
+    dists, ns = table.walks[k]
+    # the walk's last record has distance 0, so the bisect never misses
+    return ns[bisect.bisect_right(dists, d) - 1]
 
 
 def threshold_rows(
@@ -92,24 +96,16 @@ def threshold_rows(
     """Rows (d, (m_k_d for each k)) at arbitrary exact thresholds.
 
     The published grids mix a d = 0 row with powers of ten; this is the
-    row-oriented builder for those layouts.  Each k is one full record
-    walk (see :func:`m_k_d`), bisected at every d.  The walk is kept in
-    ``table.walks[k]``, its distances and their n in ascending order of
-    distance, so later calls on the same table read it back; a cut
-    table is another object and walks its own range.
+    row-oriented builder for those layouts.  Each cell is
+    :func:`m_k_d`, one bisect over the walk kept in ``table.walks[k]``,
+    so every query on one table walks each k once; a cut table is
+    another object and walks its own range.
     """
     if any(k < 2 for k in k_values):
         raise ValueError("every k must be >= 2")
     if any(d < 0 for d in d_values):
         raise ValueError("thresholds must be >= 0")
-    cols = []
-    for k in k_values:
-        if k not in table.walks:
-            table.walks[k] = tuple(zip(*reversed(list(_records(table, k)))))
-        dists, ns = table.walks[k]
-        # the walk's last record has distance 0, so the bisect never misses
-        cols.append([ns[bisect.bisect_right(dists, d) - 1] for d in d_values])
-    return [(d, tuple(col[i] for col in cols)) for i, d in enumerate(d_values)]
+    return [(d, tuple(m_k_d(table, k, d) for k in k_values)) for d in d_values]
 
 
 def limit_L(table: PartitionTable, d: int) -> int:
@@ -152,8 +148,10 @@ class NearPowerEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class EventSet:
-    """All near-power events with distance <= d_cap, n in 2..n_max, and
-    the runs of n_d they decide.
+    """All near-power events with distance <= d_cap, n in 2..n_max of
+    ``table``, the one swept, and the runs of n_d they decide.  The n_d
+    family takes the set for that table's values only; ``table`` takes
+    no part in equality or repr.
 
     Only k below the per-n freeze bound (2^k < 2 p(n)) are recorded.
     For larger k the distance equals p(n) - 1, and such a pair can never
@@ -166,7 +164,7 @@ class EventSet:
     that leaves no d at all, so no runs.  Every n_d query reads them.
     """
 
-    n_max: int
+    table: PartitionTable = field(compare=False, repr=False)
     d_cap: int
     events: tuple[NearPowerEvent, ...]
     runs: tuple[tuple[int, int, int], ...]
@@ -202,7 +200,7 @@ def _event_set(table: PartitionTable, d_cap: int, events: list) -> EventSet:
             out[-1] = (out[-1][0], upper, value)
         else:
             out.append((lo, upper, value))
-    return EventSet(table.n_max, d_cap, tuple(events), tuple(out))
+    return EventSet(table, d_cap, tuple(events), tuple(out))
 
 
 def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
@@ -363,7 +361,8 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
 def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> EventSet:
     # Every check runs before the sweep, so input the table cannot
     # decide costs no sweep: d, then the table edge, then a given set's
-    # cap and the table it was swept on.
+    # cap and the table it was swept on: this table object, checked in
+    # O(1) per query, or else one with equal values.
     limit_L(table, d)  # raises for d < 0 and where the table stops deciding
     if events is None:
         return near_power_events(table, d)
@@ -371,9 +370,10 @@ def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> E
         raise ValueError(
             "event set capped at d=%d, need %d" % (events.d_cap, d)
         )
-    if events.n_max != table.n_max:
+    if events.table is not table and events.table.values != table.values:
         raise ValueError(
-            "event set covers n_max=%d, need %d" % (events.n_max, table.n_max)
+            "event set was swept on other values than this table's p(0..%d)"
+            % table.n_max
         )
     return events
 

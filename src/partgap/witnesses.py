@@ -37,8 +37,7 @@ and only the survivors get an exact root; the first exact root closes n, so the
 smallest prime exponent wins as it does value by value.
 
 On a 2-core x86-64 host (``BENCH_scan.json``), ``coverage_scan(0, 3000)``
-takes 0.09-0.10 s instead of 0.69-0.84 s, and ``perfect_power_scan`` over
-p(2..25000) 0.39-0.44 s instead of 0.86-0.97 s.
+takes 0.09-0.10 s and ``perfect_power_scan`` over p(2..25000) 0.39-0.44 s.
 """
 
 from __future__ import annotations
@@ -360,7 +359,7 @@ def check_exceptional_powers(
     if table is None:
         covering = _covering_table(need)
         n = max(bisect.bisect_left(covering.values, need), 1)
-        table = PartitionTable(values=covering.values[: n + 1], n_max=n)
+        table = PartitionTable(values=covering.values[: n + 1])
     elif table.values[table.n_max] < need:
         raise ValueError(
             "table reaches p(%d) only; deciding %d needs n_max >= %d"

@@ -2,9 +2,10 @@
 
 ``partgap/__init__.py`` has no ``__all__``: its import lines are the
 export list.  These are the names the benchmark's library workloads and
-the README's library sketch use.
+the README's library sketch use, and the sketch itself runs as shown.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -36,6 +37,30 @@ def test_caller_names_resolve():
     missing = [name for name in CALLER_NAMES if not hasattr(partgap, name)]
     assert missing == []
     assert all(callable(getattr(partgap, name)) for name in CALLER_NAMES)
+
+
+def test_readme_library_sketch_runs_as_shown():
+    # each expression of the sketch is evaluated, and its value is the
+    # one the comment next to it gives
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    distance, m70, runs, rows, m35 = values
+    rows_shown = "[(1000, (143,)), (10**35, (5030,)), (10**70, (18237,))]"
+    for got, want, comment in (
+        (distance, (75, 21), "(75, 21)"),
+        (m70, 18237, "18237"),
+        (runs[:2], [(0, 0, 2), (1, 1, 5)], "[(0, 0, 2), (1, 1, 5), ...]"),
+        (rows, eval(rows_shown), rows_shown),
+        (m35, 4933, "4933"),
+    ):
+        assert got == want
+        assert "# " + comment in block
 
 
 def test_version_matches_pyproject():

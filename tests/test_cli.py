@@ -73,6 +73,7 @@ def test_bad_input_writes_no_cache(capsys, tmp_path):
         (("s-check", "-3"), "scan range [-3, -3] outside table 0..1"),
         (("s-check", "--range", "-2", "4"), "scan range [-2, 4] outside table 0..4"),
         (("pn", "0", "--estimate"), "--estimate needs n >= 1"),
+        (("table4", "--d-max", "abc"), "bad threshold 'abc' (use an integer or 10^i)"),
     ],
 )
 def test_input_checked_before_the_table_is_cached(capsys, tmp_path, argv, message):
@@ -184,6 +185,12 @@ def test_table4_small(capsys):
     spans = [ln.split(",") for ln in lines[1:]]
     total = sum(int(hi) - int(lo) + 1 for lo, hi, _ in spans)
     assert total == 101
+
+
+def test_table4_d_max_takes_powers_of_ten(capsys):
+    want = run(capsys, "table4", "--n-max", "300", "--d-max", "1000")
+    assert want[0] == 0
+    assert run(capsys, "table4", "--n-max", "300", "--d-max", "10^3") == want
 
 
 def test_figure_data_text(capsys):
@@ -540,9 +547,7 @@ def test_pn_estimate_past_float_range(capsys, monkeypatch):
     # estimate at 80000 is past float range (inf); the ratio must stay
     # finite both for a p(N) past float range and for one inside it.
     def fake_build(top):
-        return lambda n_max: partgap.partitions.PartitionTable(
-            values=(1,) * n_max + (top,), n_max=n_max
-        )
+        return lambda n_max: partgap.partitions.PartitionTable((1,) * n_max + (top,))
 
     log_estimate = math.pi * math.sqrt(2 * 80000 / 3) - math.log(4 * 80000 * math.sqrt(3))
     for digits in (400, 301):

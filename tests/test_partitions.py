@@ -62,8 +62,14 @@ def test_build_rejects_oversize():
 
 
 def test_table_length_validated():
-    with pytest.raises(ValueError):
-        PartitionTable(values=(1, 1, 2), n_max=5)
+    # n_max is derived from the values, which must hold p(0) at least
+    with pytest.raises(ValueError, match="values is empty"):
+        PartitionTable(values=())
+    with pytest.raises(TypeError):
+        PartitionTable(values=(1, 1, 2), n_max=2)
+    assert PartitionTable(values=(1, 1, 2)).n_max == 2
+    assert build_table(40).n_max == 40
+    assert build_table(40) == PartitionTable(build_table(50).values[:41])
 
 
 def test_p1_prefix(table_small):

@@ -34,7 +34,7 @@ D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
 def cut(table, n_max):
     # p(0..n_max) of a longer table: how a caller asks about a shorter range
-    return PartitionTable(values=table.values[: n_max + 1], n_max=n_max)
+    return PartitionTable(values=table.values[: n_max + 1])
 
 
 def pointwise_distances(table, k):
@@ -226,7 +226,7 @@ def test_threshold_rows_walks_belong_to_their_table():
     # a table of the same n_max with other values is answered from its
     # own walk: p(290) = 17^20 puts a 20th power at the top of the fake
     real = build_table(290)
-    fake = PartitionTable(real.values[:290] + (17**20,), 290)
+    fake = PartitionTable(real.values[:290] + (17**20,))
     assert threshold_rows(real, (0,), (20,)) == [(0, (1,))]
     assert threshold_rows(fake, (0,), (20,)) == [(0, (290,))]
     assert threshold_rows(real, (0,), (20,)) == [(0, (1,))]
@@ -254,6 +254,23 @@ def test_threshold_rows_walks_each_k_once_per_table(monkeypatch):
     assert calls == {(300, 2): 1, (300, 3): 1, (200, 2): 1}
     assert set(short.walks) == {2}
     assert set(table.walks) == {2, 3}
+
+
+def test_m_k_d_and_threshold_rows_share_one_walk(monkeypatch):
+    table = build_table(300)
+    calls = collections.Counter()
+    real = partgap.repulsion._records
+
+    def counted(table, k):
+        calls[table.n_max, k] += 1
+        return real(table, k)
+
+    monkeypatch.setattr(partgap.repulsion, "_records", counted)
+    singles = [m_k_d(table, k, d) for k in (2, 3) for d in (0, 10**6)]
+    assert calls == {(300, 2): 1, (300, 3): 1}
+    rows = threshold_rows(table, (0, 10**6), (2, 3))
+    assert calls == {(300, 2): 1, (300, 3): 1}
+    assert [cells[j] for j in (0, 1) for _, cells in rows] == singles
 
 
 @st.composite
@@ -310,7 +327,7 @@ def power_table(k, roots, d_cap):
     # +-(d_cap + 1), so some p(n) sit exactly at the cap and just past it
     offsets = (0, d_cap, -d_cap, d_cap + 1, -d_cap - 1)
     values = sorted({y**k + j for y in roots for j in offsets if y**k + j > 1})
-    return PartitionTable(values=(1, 1, *values), n_max=len(values) + 1)
+    return PartitionTable(values=(1, 1, *values))
 
 
 def screened_ks(monkeypatch):
@@ -462,6 +479,25 @@ def test_n_d_family_undecided_past_explicit_n_max():
     assert n_d_intervals(table, edge - 1, events=events) == n_d_intervals(
         exact, edge - 1, events=events
     )
+
+
+def test_events_belong_to_their_values():
+    # same n_max, other values: p(290) = 17^20 on the fake gives n_d 21
+    # at d = 1000, where the real table's events answer 14
+    real = build_table(290)
+    fake = PartitionTable(real.values[:290] + (17**20,))
+    events = near_power_events(real, 1000)
+    for query in (
+        lambda: n_d(fake, 1000, events=events),
+        lambda: n_d_batch(fake, (0, 1000), events=events),
+        lambda: n_d_intervals(fake, 1000, events=events),
+    ):
+        with pytest.raises(ValueError, match="other values"):
+            query()
+    assert n_d(fake, 1000) == 21
+    assert n_d(real, 1000, events=events) == n_d(real, 1000) == 14
+    # a table object with the same values takes the set
+    assert n_d(PartitionTable(real.values), 1000, events=events) == 14
 
 
 def test_events_argument_validation(table_small):

@@ -209,7 +209,7 @@ def test_check_flags_planted_hit():
     values = list(build_table(200).values)
     assert values[8] < 27 < values[10]
     values[9] = 27
-    fake = PartitionTable(values=tuple(values), n_max=200)
+    fake = PartitionTable(values=tuple(values))
     report = check_exceptional_powers(SIX_TUPLES, fake)
     assert not report.all_clear
     hits = [c for c in report.checks if c.lookup.index is not None]
@@ -234,7 +234,7 @@ def test_power_scan_finds_planted_power():
     values = list(build_table(60).values)
     assert values[9] < 49 < values[11]
     values[10] = 49
-    fake = PartitionTable(values=tuple(values), n_max=60)
+    fake = PartitionTable(values=tuple(values))
     hits = perfect_power_scan(fake)
     assert [(n, w.base, w.exponent) for n, w in hits] == [(10, 7, 2)]
 
@@ -254,7 +254,7 @@ def test_power_scan_empty_and_bad_ranges(table_small):
 @settings(max_examples=300, deadline=None)
 def test_screened_witnesses_match_oracle_on_constructed_values(x, q, a, step):
     v = x * x + q**a + step
-    table = PartitionTable(values=(v,), n_max=0)
+    table = PartitionTable(values=(v,))
     want = list(_witness_search_oracle(v))
     assert list(_witness_search(v)) == want
     assert coverage_witness(table, 0) == (CoverageWitness(0, *want[0]) if want else None)
@@ -331,7 +331,7 @@ def column_scan_table():
         for y in (2, 3, 10, 6**5):
             values += [y**q, y**q - 1, y**q + 1]
     random.Random(14).shuffle(values[4:])
-    return PartitionTable(values=tuple(values), n_max=len(values) - 1)
+    return PartitionTable(values=tuple(values))
 
 
 @pytest.mark.parametrize("lo,hi", [(0, None), (1, None), (2, None), (0, 0), (1, 1), (9, 9), (30, 20), (40, 90)])
@@ -348,7 +348,7 @@ def test_column_scan_matches_oracle(lo, hi):
 
 def test_column_scan_smallest_exponent_and_trivial_values():
     values = (1, 1, 0, 3**35, 1, 2**30, 2**61, 2**61 + 1)
-    table = PartitionTable(values=values, n_max=7)
+    table = PartitionTable(values=values)
     hits = [(n, w.base, w.exponent) for n, w in perfect_power_scan(table, 0)]
     assert hits == [
         (0, 1, 2), (1, 1, 2), (2, 0, 2), (3, 3**7, 5), (4, 1, 2),
@@ -357,6 +357,6 @@ def test_column_scan_smallest_exponent_and_trivial_values():
 
 
 def test_column_scan_rejects_negative_values():
-    table = PartitionTable(values=(1, 1, 4, -8), n_max=3)
+    table = PartitionTable(values=(1, 1, 4, -8))
     with pytest.raises(ValueError):
         perfect_power_scan(table)
