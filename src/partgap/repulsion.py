@@ -16,13 +16,15 @@ expensive unit of work is an exact root, and one kernel,
 ``_distances``, takes them all: for one k and the n it is given, it
 yields the distance from p(n) to the nearest k-th power, one root
 bracket per value, lazily and in the order asked.  The record walk
-reads it over n = n_max..0, once per k and table, and the near-power
-event sweep over every n below the freeze bound for small k, or for large k
-over the few n whose p(n) lies near one of the k-th powers below
-p(n_max).  Where a k-th root of p(n_max) fits 40 bits, the sweep first
-screens each p(n) with a double, p(n)^(1/k) against the nearest
-integer, and brackets only the p(n) the screen cannot prove farther
-than the cap from every k-th power.
+reads it over n = n_max..0, once per k and table.  The near-power
+event sweep runs k upward.  A composite k reads it only over the events
+of its largest proper divisor, since every k-th power is also a power
+of each divisor of k.  A prime k reads it over every n below the freeze
+bound when k is small, or, when k is large, over the few n whose p(n)
+lies near one of the k-th powers below p(n_max).  Where a k-th root of
+p(n_max) fits 40 bits, a prime k first screens each p(n) with a double,
+p(n)^(1/k) against the nearest integer, and brackets only the p(n) the
+screen cannot prove farther than the cap from every k-th power.
 ``_near_power_events_oracle`` keeps one ``nearest_power_distance``
 call per pair, so the oracle stays independent of the kernel.  The work
 is paid once and shared by every table, figure, and N_d query built on
@@ -113,7 +115,10 @@ def limit_L(table: PartitionTable, d: int) -> int:
 
     This is where every m_k_d series bottoms out: for n in this range,
     p(n) sits within d of the k-th power 1 for every k.  Requires
-    d < p(n_max) - 1 so the maximum is attained inside the table.
+    d < p(n_max) - 1 so the maximum is attained inside the table, and
+    p(1..n_max) ascending, as every built or loaded table is; one bisect
+    reads it, unchecked, and a table out of order gives a wrong answer
+    (:func:`near_power_events` checks, once per sweep).
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
@@ -121,7 +126,7 @@ def limit_L(table: PartitionTable, d: int) -> int:
         raise ValueError(
             "d=%d is not below p(n_max) - 1; extend the table" % d
         )
-    # values[1:] is strictly increasing and p(n) <= d + 1 iff p(n) - 1 <= d
+    # values[1:] is ascending and p(n) <= d + 1 iff p(n) - 1 <= d
     return bisect.bisect_right(table.values, d + 1, 1) - 1
 
 
@@ -304,11 +309,22 @@ def _screened(
 def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     """One sweep over (n, k): the only expensive step of the n_d family.
 
-    Runs per k.  The n with k below their freeze bound are those with
-    p(n) > 2^(k-1), a suffix of the table found by bisection.  A p(n)
-    within d_cap of a k-th power is within d_cap of some y^k with
-    1 <= y <= Y = floor((p(n_max) + d_cap)^(1/k)).  Each k takes one of
-    three paths, all giving the oracle's events:
+    Runs per k, ascending, and needs p(1..n_max) ascending: a table
+    that is not raises ValueError, found in one pass.  The n with k
+    below their freeze bound are those with p(n) > 2^(k-1), a suffix of
+    the table found by bisection, and the suffix shrinks as k grows.
+
+    A composite k brackets only the events of its largest proper
+    divisor a = k/p, p the smallest prime factor of k, that lie in k's
+    own suffix.  Every y^k = (y^p)^a is an a-th power, so the distance
+    from p(n) to the nearest a-th power is at most its distance to the
+    nearest k-th power, and every event at k is an event at a, which the
+    ascending sweep has already found over a suffix holding k's.
+
+    A prime k takes one of three paths.  A p(n) within d_cap of a k-th
+    power is within d_cap of some y^k with 1 <= y <= Y =
+    floor((p(n_max) + d_cap)^(1/k)), and every path gives the oracle's
+    events:
 
     * the float screen, where p(n_max)^(1/k) is below 2^40 and Y is at
       least a sixth of the suffix length (below);
@@ -329,7 +345,7 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     events.
 
     Each n is examined at most once per k, so no d_cap costs more roots
-    than the oracle (plus one per k for Y).  The result lists
+    than the oracle (plus one per prime k for Y).  The result lists
     events in (n, k) order, and one heap sweep over them gives its
     ``runs``: n_d at every d <= min(d_cap, p(n_max) - 2), which the n_d
     family then reads by bisection.
@@ -337,23 +353,38 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
     values, hi = table.values, table.n_max
+    rest = values[1:]
+    if sorted(rest) != list(rest):  # one pass over sorted input
+        n = next(n for n in range(2, hi + 1) if values[n] < values[n - 1])
+        raise ValueError(
+            "the sweep needs p(1..n_max) ascending, but p(%d) < p(%d)" % (n, n - 1)
+        )
     top = values[hi]
     events: list[NearPowerEvent] = []
+    spans: dict[int, tuple[int, int]] = {}  # k -> its slice of events
     logs = [math.log2(v) for v in values[: hi + 1]]
     for k in range(2, stabilization_threshold(table)):
         # k < freeze bound (2 p(n) - 1).bit_length()  <=>  p(n) > 2^(k-1)
         first = bisect.bisect_right(values, 1 << (k - 1), 2, hi + 1)
-        bases = floor_kth_root(top + d_cap, k).root
-        suffix = hi + 1 - first
-        if top.bit_length() <= _SCREEN_BITS * k and _SCREEN_COST * bases >= suffix:
-            candidates = _screened(values, logs, k, d_cap, first, hi)
-        elif bases < suffix:
-            candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
+        # k's largest proper divisor, k over its smallest prime factor
+        a = next((k // p for p in range(2, math.isqrt(k) + 1) if k % p == 0), 1)
+        if a > 1:
+            lo, end = spans[a]
+            candidates = [e.n for e in events[lo:end] if e.n >= first]
         else:
-            candidates = range(first, hi + 1)
+            bases = floor_kth_root(top + d_cap, k).root
+            suffix = hi + 1 - first
+            if top.bit_length() <= _SCREEN_BITS * k and _SCREEN_COST * bases >= suffix:
+                candidates = _screened(values, logs, k, d_cap, first, hi)
+            elif bases < suffix:
+                candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
+            else:
+                candidates = range(first, hi + 1)
+        start = len(events)
         for n, dist in _distances(values, k, candidates):
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
+        spans[k] = (start, len(events))
     events.sort()  # per-k order to (n, k) order
     return _event_set(table, d_cap, events)
 

@@ -376,8 +376,9 @@ def test_screen_at_the_window_cut(monkeypatch, k, d_cap):
 
 
 def test_screen_stays_live(monkeypatch):
-    # the screen leaves about 11,100 exact brackets at n_max 3000; one
-    # per pair on every k it takes would make about 44,800
+    # the screen leaves 7,410 exact brackets at n_max 3000, composite k
+    # on the divisor path; one per pair on every prime k it takes would
+    # make 24,478
     table = cached_table(3000)
     expected = _near_power_events_oracle(table, 270343)
     calls = []
@@ -391,6 +392,79 @@ def test_screen_stays_live(monkeypatch):
     assert near_power_events(table, 270343) == expected
     assert len(expected.events) == 843
     assert len(calls) < 15000
+
+
+PLANTED_ROOTS = (60, 61, 97)
+
+
+@pytest.mark.parametrize("a, b", ((2, 2), (2, 3), (3, 3), (3, 4)))
+@pytest.mark.parametrize("d_cap", (0, 1, 270343))
+def test_divisor_path_matches_oracle(monkeypatch, a, b, d_cap):
+    # y^(ab) + j for j in 0, +-d_cap, +-(d_cap + 1): the composite ab
+    # brackets only the events of its largest proper divisor, and those
+    # hold every planted n within the cap, at a, b and ab alike
+    seen = screened_ks(monkeypatch)
+    k = a * b
+    table = power_table(k, PLANTED_ROOTS, d_cap)
+    events = near_power_events(table, d_cap)
+    assert events == _near_power_events_oracle(table, d_cap)
+    assert k not in seen
+    pairs = {(e.n, e.k) for e in events.events}
+    for y in PLANTED_ROOTS:
+        for j in (0, d_cap, -d_cap):
+            n = table.values.index(y**k + j)
+            assert (n, k, abs(j)) in events.events
+            assert {(n, a), (n, b)} <= pairs
+
+
+def test_composite_k_bracket_their_divisor_events(monkeypatch):
+    # at n_max 3000 and d_cap 270343 each composite k brackets exactly
+    # the events of k/p, p its smallest prime factor, that lie in its own
+    # suffix p(n) > 2^(k-1), and never reaches the screen
+    table = cached_table(3000)
+    seen = screened_ks(monkeypatch)
+    calls = collections.defaultdict(list)
+    bracket = partgap.repulsion._bracket
+
+    def counted(v, k):
+        calls[k].append(v)
+        return bracket(v, k)
+
+    monkeypatch.setattr(partgap.repulsion, "_bracket", counted)
+    events = near_power_events(table, 270343).events
+    composite = 0
+    for k in range(4, stabilization_threshold(table)):
+        p = next(p for p in range(2, k + 1) if k % p == 0)
+        if p < k:
+            assert k not in seen
+            values = (table.values[e.n] for e in events if e.k == k // p)
+            assert calls[k] == [v for v in values if v > 2 ** (k - 1)]
+            composite += len(calls[k])
+    assert composite == 645
+    assert sum(map(len, calls.values())) <= 7410
+
+
+def test_sweep_refuses_values_out_of_order():
+    # the sweep bisects p(1..n_max), so values out of order would lose
+    # events or repeat them; the sweep and the n_d family raise instead
+    values = cached_table(200).values
+    shuffled = list(values[2:])
+    random.Random(17).shuffle(shuffled)
+    swapped = values[:199] + (values[200], values[199])
+    for table in (PartitionTable((1, 1, *shuffled)), PartitionTable(swapped)):
+        for query in (
+            lambda: near_power_events(table, 270343),
+            lambda: n_d(table, 5),
+            lambda: n_d_intervals(table, 5),
+        ):
+            with pytest.raises(ValueError, match="ascending"):
+                query()
+    with pytest.raises(ValueError, match=r"p\(200\) < p\(199\)"):
+        near_power_events(PartitionTable(swapped), 0)
+    # a repeated value keeps the order, and the sweep still answers
+    tied = PartitionTable(values[:151] + values[150:])
+    for d_cap in (0, 1, 270343):
+        assert near_power_events(tied, d_cap) == _near_power_events_oracle(tied, d_cap)
 
 
 def brute_n_d(table, d):
