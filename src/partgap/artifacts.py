@@ -13,16 +13,14 @@ one table walk each k once.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 from . import reference, repulsion
 from .partitions import PartitionTable
 from .roots import nearest_power_distance
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """One published table: its layout, how to compute it, its reference."""
 
     name: str

@@ -11,7 +11,6 @@ failed (reference mismatch, uncovered index, counterexample found),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -168,6 +167,11 @@ def cmd_pn(args) -> int:
     if args.estimate and args.n < 1:
         raise ValueError("--estimate needs n >= 1")
     table = _acquire_table(args, max(args.n, 1))
+    if args.export:
+        # before any output, so a failed export prints no result; the
+        # table reaches p(1) at least, the file holds p(0..n) only
+        with open(args.export, "w", encoding="ascii") as fh:
+            dump_values(PartitionTable(table.values[: args.n + 1]), fh)
     value = table.p(args.n)
     print(value)
     if args.estimate:
@@ -175,10 +179,6 @@ def cmd_pn(args) -> int:
         # from logs: past float range est is inf and p(n) has no float
         ratio = math.exp(log_hardy_ramanujan(args.n) - math.log(value))
         print("estimate=%.6g ratio=%.6g" % (est, ratio))
-    if args.export:
-        # the table reaches p(1) at least; the file holds p(0..n) only
-        with open(args.export, "w", encoding="ascii") as fh:
-            dump_values(PartitionTable(table.values[: args.n + 1]), fh)
     return 0
 
 
@@ -359,7 +359,7 @@ def cmd_fit(args) -> int:
     model = fitting.fit_log_poly([(d, m) for d, (m,) in rows], args.degree)
     evals = [(d, fitting.evaluate(model, d)) for d in at]
     if args.format == "json":
-        obj = dataclasses.asdict(model)
+        obj = model._asdict()
         obj["k"] = args.k
         obj["n_max"] = args.n_max
         if evals:

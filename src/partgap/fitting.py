@@ -18,33 +18,38 @@ coefficients of such fits are numerically tender.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class LogPolyModel:
-    """value(d) ~ sum_j coefficients[j] * (ln d)^j, natural log.
-
-    ``window_exponent`` records the largest decimal exponent among the
-    fitted thresholds (the fit used d <= 10^window_exponent).
-    """
-
+class _LogPolyFields(NamedTuple):
     degree: int
     coefficients: tuple[float, ...]
     window_exponent: int
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1, got %d" % self.degree)
-        if len(self.coefficients) != self.degree + 1:
+
+class LogPolyModel(_LogPolyFields):
+    """value(d) ~ sum_j coefficients[j] * (ln d)^j, natural log.
+
+    A named tuple (degree, coefficients, window_exponent), checked on
+    construction: ValueError for degree < 1, for other than degree + 1
+    coefficients, or for a coefficient that is not finite.
+    ``window_exponent`` records the largest decimal exponent among the
+    fitted thresholds (the fit used d <= 10^window_exponent).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, degree: int, coefficients: tuple[float, ...], window_exponent: int):
+        if degree < 1:
+            raise ValueError("degree must be >= 1, got %d" % degree)
+        if len(coefficients) != degree + 1:
             raise ValueError(
                 "degree %d needs %d coefficients, got %d"
-                % (self.degree, self.degree + 1, len(self.coefficients))
+                % (degree, degree + 1, len(coefficients))
             )
-        if not all(math.isfinite(c) for c in self.coefficients):
+        if not all(math.isfinite(c) for c in coefficients):
             raise ValueError("coefficients must be finite")
+        return super().__new__(cls, degree, coefficients, window_exponent)
 
 
 def evaluate(model: LogPolyModel, d: int | float) -> float:
@@ -92,6 +97,8 @@ def fit_log_poly(points: Sequence[tuple[int, int]], degree: int) -> LogPolyModel
     system is underdetermined or rank-deficient (fewer distinct ln d
     than unknowns); never silently regularizes.
     """
+    from fractions import Fraction  # only the fit needs it; keeps it out of start-up
+
     _require_fit([d for d, _ in points], degree)
     size = degree + 1
     xs = [Fraction(math.log(d)) for d, _ in points]

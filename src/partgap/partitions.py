@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import tempfile
-from dataclasses import dataclass, field
 from typing import IO, NamedTuple
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
@@ -27,28 +26,45 @@ from typing import IO, NamedTuple
 MAX_TABLE_SIZE = 5_000_000
 
 
-@dataclass(frozen=True)
 class PartitionTable:
     """Values p(0..n_max) as exact integers; the values are the table.
 
-    Immutable; to cover a larger range, build a new table, and to cover
-    a shorter one pass a cut, ``PartitionTable(table.values[:n + 1])``.
-    ``values`` is a tuple so a table can be shared across threads and
-    hashed fixtures without defensive copies, and it holds p(0) at
-    least.  ``n_max`` is ``len(values) - 1``, derived once.  ``walks``
-    is a memo that the :mod:`repulsion` threshold queries fill, k ->
-    (ascending distances, their n) of the record walk over this table.
-    Neither takes part in construction, equality or hashing.
+    Built as ``PartitionTable(values)``.  Immutable: assigning or
+    deleting an attribute raises AttributeError; to cover a larger
+    range, build a new table, and to cover a shorter one pass a cut,
+    ``PartitionTable(table.values[:n + 1])``.  ``values`` is a tuple so
+    a table can be shared across threads and hashed fixtures without
+    defensive copies, and it holds p(0) at least.  ``n_max`` is
+    ``len(values) - 1``, derived once.  ``walks`` is a memo that the
+    :mod:`repulsion` threshold queries fill, k -> (ascending distances,
+    their n) of the record walk over this table.  Equality, hash and
+    repr go by ``values`` alone.
     """
 
-    values: tuple[int, ...]
-    n_max: int = field(init=False, compare=False)
-    walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("values", "n_max", "walks")
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise ValueError("a table holds p(0) at least; values is empty")
-        object.__setattr__(self, "n_max", len(self.values) - 1)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n_max", len(values) - 1)
+        object.__setattr__(self, "walks", {})
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError("PartitionTable is immutable; %r is read-only" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return "PartitionTable(values=%r)" % (self.values,)
 
     def p(self, n: int) -> int:
         """p(n), the number of partitions of n.  Raises on out-of-range n."""

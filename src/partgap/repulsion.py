@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable
@@ -151,12 +150,12 @@ class NearPowerEvent(NamedTuple):
     distance: int
 
 
-@dataclass(frozen=True)
-class EventSet:
+class EventSet(NamedTuple):
     """All near-power events with distance <= d_cap, n in 2..n_max of
     ``table``, the one swept, and the runs of n_d they decide.  The n_d
-    family takes the set for that table's values only; ``table`` takes
-    no part in equality or repr.
+    family takes the set for that table's values only.  Equality covers
+    all four fields, the table by its values; the repr leaves the table
+    out.
 
     Only k below the per-n freeze bound (2^k < 2 p(n)) are recorded.
     For larger k the distance equals p(n) - 1, and such a pair can never
@@ -169,10 +168,13 @@ class EventSet:
     that leaves no d at all, so no runs.  Every n_d query reads them.
     """
 
-    table: PartitionTable = field(compare=False, repr=False)
+    table: PartitionTable
     d_cap: int
     events: tuple[NearPowerEvent, ...]
     runs: tuple[tuple[int, int, int], ...]
+
+    def __repr__(self) -> str:
+        return "EventSet(d_cap=%r, events=%r, runs=%r)" % (self.d_cap, self.events, self.runs)
 
 
 def _event_set(table: PartitionTable, d_cap: int, events: list) -> EventSet:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple
 
@@ -306,8 +305,7 @@ class PowerCheck(NamedTuple):
     lookup: IndexLookup
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(NamedTuple):
     """Outcome of testing each exceptional base^power for partition-hood."""
 
     n_max: int

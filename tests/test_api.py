@@ -6,7 +6,11 @@ the README's library sketch use, and the sketch itself runs as shown.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import partgap
@@ -61,6 +65,29 @@ def test_readme_library_sketch_runs_as_shown():
     ):
         assert got == want
         assert "# " + comment in block
+
+
+LAYERS = ("partitions", "roots", "repulsion", "witnesses", "fitting")
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_import_is_eager_and_cheap():
+    # In a fresh process: `import partgap` loads every layer module,
+    # which perfbench's tracer wraps once the package is imported, and
+    # `import partgap.cli` newly loads none of the slow standard modules.
+    code = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import partgap\n"
+        "package = set(sys.modules)\n"
+        "import partgap.cli\n"
+        "print(json.dumps([sorted(package), sorted(set(sys.modules) - before)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(partgap.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    package, new = json.loads(done.stdout)
+    assert [m for m in LAYERS if "partgap." + m not in package] == []
+    assert [m for m in SLOW_IMPORTS if m in new] == []
 
 
 def test_version_matches_pyproject():

@@ -560,6 +560,13 @@ def test_pn_estimate_past_float_range(capsys, monkeypatch):
         assert 0 < ratio < math.inf
 
 
+def test_pn_failed_export_prints_no_result(capsys, tmp_path):
+    target = tmp_path / "missing" / "values.txt"
+    code, out, err = run(capsys, "pn", "5", "--export", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+
+
 def test_pn_zero_export_is_one_line(capsys, tmp_path):
     target = tmp_path / "values.txt"
     assert run(capsys, "pn", "0", "--export", str(target)) == (0, "1\n", "")

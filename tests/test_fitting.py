@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -104,11 +103,11 @@ def test_model_validation():
 def test_model_as_dict():
     # the JSON object of `partgap fit --format json` starts from this dict
     model = LogPolyModel(degree=1, coefficients=(0.5, 2.5), window_exponent=7)
-    assert dataclasses.asdict(model) == {
+    assert model._asdict() == {
         "degree": 1,
         "coefficients": (0.5, 2.5),
         "window_exponent": 7,
     }
-    assert json.dumps(dataclasses.asdict(model)) == (
+    assert json.dumps(model._asdict()) == (
         '{"degree": 1, "coefficients": [0.5, 2.5], "window_exponent": 7}'
     )

@@ -72,6 +72,23 @@ def test_table_length_validated():
     assert build_table(40) == PartitionTable(build_table(50).values[:41])
 
 
+def test_table_equality_hash_and_immutability():
+    # equality, hash and repr go by the values; the walks memo takes no
+    # part, and no attribute can be assigned or deleted
+    table, same = build_table(40), PartitionTable(values=build_table(50).values[:41])
+    assert table == same and hash(table) == hash(same)
+    assert table != PartitionTable(table.values[:40]) and table != table.values
+    table.walks[2] = ((0,), (40,))
+    assert table == same and hash(table) == hash(same) and same.walks == {}
+    assert repr(table) == repr(same) == "PartitionTable(values=%r)" % (same.values,)
+    for name in ("values", "n_max", "walks", "other"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, ())
+    with pytest.raises(AttributeError):
+        del table.values
+    assert table.n_max == 40 and table.values == same.values
+
+
 def test_p1_prefix(table_small):
     # 1 + q^2 + q^3 + 2q^4 + 2q^5 + 4q^6 + 4q^7 + 7q^8 + 8q^9 + 12q^10
     got = [p1(table_small, n) for n in range(11)]

@@ -169,6 +169,16 @@ def test_events_complete_and_sound(table_small):
         assert nearest_power_distance(table_small.p(e.n), e.k)[1] == e.distance
 
 
+def test_event_set_repr_leaves_the_table_out(table_small):
+    events = near_power_events(table_small, 10)
+    text = repr(events)
+    assert text.startswith("EventSet(d_cap=10, events=(NearPowerEvent(")
+    assert "PartitionTable" not in text and str(table_small.values[-1]) not in text
+    # equality covers the table, by its values
+    assert events == near_power_events(PartitionTable(table_small.values), 10)
+    assert events != events._replace(table=cut(table_small, 100))
+
+
 cached_table = functools.lru_cache(maxsize=None)(build_table)
 
 
