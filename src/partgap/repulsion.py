@@ -39,7 +39,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable
-from .roots import _bracket, floor_kth_root, nearest_power_distance
+from .roots import _bracket, _power_neighbours, floor_kth_root, nearest_power_distance
 
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
@@ -226,19 +226,6 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
     return _event_set(table, d_cap, events)
-
-
-def _power_neighbours(
-    values: Sequence[int], k: int, d_cap: int, lo: int, hi: int, bases: int
-) -> Iterator[int]:
-    # Each n in lo..hi with p(n) within d_cap of some y^k, y = 1..bases,
-    # ascending and once: the windows rise with y, so each one starts
-    # where the previous one ended.
-    for y in range(1, bases + 1):
-        power = y ** k
-        start = bisect.bisect_left(values, power - d_cap, lo, hi + 1)
-        lo = bisect.bisect_right(values, power + d_cap, start, hi + 1)
-        yield from range(start, lo)
 
 
 # The float screen.  For v = p(n) with z = v^(1/k) < 2^b, b <= 40, the

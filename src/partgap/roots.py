@@ -28,7 +28,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class KthRootResult(NamedTuple):
@@ -111,6 +111,30 @@ def nearest_power_distance(v: int, k: int) -> tuple[int, int]:
     if v - power <= upper - v:
         return r, v - power
     return r + 1, upper - v
+
+
+def _power_neighbours(
+    values: Sequence[int], k: int, d_cap: int, lo: int, hi: int, bases: int
+) -> Iterator[int]:
+    """Each index i in lo..hi with values[i] within d_cap of some y^k,
+    y = 1..bases, ascending and once.
+
+    values[lo..hi] must be ascending; equal values are one run, and a
+    window takes the whole run.  The windows rise with y, so each one
+    starts where the previous one ended.  Given bases = Y =
+    floor((values[hi] + d_cap)^(1/k)) the list is complete for
+    values >= 1: a y^k within d_cap of values[i] has
+    y^k <= values[i] + d_cap <= values[hi] + d_cap, so y <= Y, and y = 0
+    is never nearer than y = 1.  The near-power sweep lists with its
+    d_cap; the perfect-power scan lists with d_cap = 0 over its open
+    values sorted, where Y = floor(max^(1/k)) and each index yielded is
+    an exact power.
+    """
+    for y in range(1, bases + 1):
+        power = y ** k
+        start = bisect.bisect_left(values, power - d_cap, lo, hi + 1)
+        lo = bisect.bisect_right(values, power + d_cap, start, hi + 1)
+        yield from range(start, lo)
 
 
 def _primes_up_to(limit: int) -> list[int]:

@@ -30,21 +30,30 @@ The masks are built on first use per q and lengthened (at least
 doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
 for the 25 primes.
 
-The direct scan runs column-wise: each prime exponent q, ascending,
-filters every still-open n through the residue screens of
-:func:`partgap.roots.is_perfect_power`, one comprehension per screen,
-and only the survivors get an exact root; the first exact root closes n, so the
-smallest prime exponent wins as it does value by value.
+The direct scan runs column-wise over the open n, sorted by value
+once: each prime exponent q, ascending, picks its candidates by the
+cheaper of two paths.  While the bases y <= Y = floor(max open
+value^(1/q)) are many, every open n passes the residue screens of
+:func:`partgap.roots.is_perfect_power`, one comprehension per screen.
+Once ten times Y is below the number of open n, listing y^q for
+y = 1..Y and bisecting the sorted values for each
+(:func:`partgap.roots._power_neighbours` at d_cap 0) costs less and
+yields exactly the open q-th powers; at n_max 6000 that holds from
+q = 31 and at 25000 from q = 53.  Only the candidates get an exact
+root; the first exact root closes n and drops it before the next q, so
+the smallest prime exponent wins as it does value by value.
 
-On a 2-core x86-64 host (``BENCH_scan.json``), ``coverage_scan(0, 3000)``
-takes 0.09-0.10 s and ``perfect_power_scan`` over p(2..25000) 0.39-0.44 s.
+On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
+(``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000),
+p(2..25000) and p(2..100000) 0.018-0.027, 0.11-0.17 and 1.1-1.5 s
+(``BENCH_powerlist.json``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from importlib import resources
+import os
 from typing import Iterable, NamedTuple
 
 from .partitions import (
@@ -55,6 +64,7 @@ from .partitions import (
 )
 from .roots import (
     PowerWitness,
+    _power_neighbours,
     _screens,
     floor_kth_root,
     is_perfect_power,
@@ -67,6 +77,13 @@ PRIMES_UNDER_100 = (
 )
 
 BUNDLED_LIST_NAME = "exceptional_tuples.txt"
+
+# Listing one y^q and bisecting the open values for it takes 1.2-1.5 us,
+# screening one open p(n), its share of the survivors' exact roots
+# included, 0.11-0.17 us (at n_max 6000 and 25000, for the q where the
+# two paths cost about the same): about ten to one, so the scan lists
+# the q whose bases number below a tenth of the open n.
+_LIST_COST = 10
 
 
 class CoverageWitness(NamedTuple):
@@ -290,13 +307,13 @@ def load_exceptional_list(path: str) -> tuple[ExceptionalTuple, ...]:
 
 def bundled_exceptional_list() -> tuple[ExceptionalTuple, ...]:
     """The exceptional tuples shipped with the package (the explicitly
-    published ones; a fuller list can be supplied in the same format)."""
-    text = (
-        resources.files("partgap")
-        .joinpath("data", BUNDLED_LIST_NAME)
-        .read_text(encoding="ascii")
-    )
-    return parse_exceptional_lines(text.splitlines())
+    published ones; a fuller list can be supplied in the same format).
+
+    Read from ``data/`` beside this module by :func:`load_exceptional_list`,
+    the reader of ``--bs-list`` files, so both share one error path.
+    """
+    here = os.path.dirname(__file__)
+    return load_exceptional_list(os.path.join(here, "data", BUNDLED_LIST_NAME))
 
 
 class PowerCheck(NamedTuple):
@@ -377,6 +394,19 @@ def perfect_power_scan(
 
     Defaults skip n = 0, 1: p = 1 = 1^2 is a power but says nothing.
     An empty result is finite-range evidence only, not a proof.
+
+    The table need not be ascending: the open n (p(n) >= 2) are sorted
+    by value once.  Each prime q up to the largest bit length, ascending,
+    drops the open p(n) below 2^q, which no y^q with y >= 2 reaches, and
+    takes Y = floor(max open p(n)^(1/q)).  When _LIST_COST * Y is below
+    the number of open n, the candidates are the open p(n) equal to some
+    y^q, y <= Y, found by bisection; otherwise they are the open p(n)
+    that pass the q-th-power residue screens of
+    :func:`partgap.roots.is_perfect_power`.  Both paths keep every open
+    q-th power, so after the exact roots of the candidates the hits and
+    witnesses are those of :func:`partgap.roots._is_perfect_power_oracle`
+    value by value: the first exact root closes n, and a closed n is
+    gone from the sorted values before the next q.
     """
     if n_hi is None:
         n_hi = table.n_max
@@ -392,19 +422,23 @@ def perfect_power_scan(
             found[n] = is_perfect_power(vals[n])  # 0^2, 1^2, or raises
         else:
             candidates.append(n)
-    # column-wise, in the order is_perfect_power tries exponents: each
-    # prime q up to bit_length(p(n)) screens every open n, and only the
-    # survivors get the exact root; the first exact root closes n
-    candidates.sort(key=lambda n: vals[n].bit_length(), reverse=True)
-    top = vals[candidates[0]].bit_length() if candidates else 0
+    # the open n ascending by value, and their values for the bisection
+    candidates.sort(key=vals.__getitem__)
+    open_vals = [vals[n] for n in candidates]
+    top = open_vals[-1].bit_length() if candidates else 0
     for q in prime_exponents_up_to(top):
-        while candidates and vals[candidates[-1]].bit_length() < q:
-            candidates.pop()  # p(n) < 2^q is no q-th power
+        cut = bisect.bisect_left(open_vals, 1 << q)  # p(n) < 2^q is no q-th power
+        del candidates[:cut], open_vals[:cut]
         if not candidates:
             break
-        survivors = candidates
-        for m, residues in _screens(q):
-            survivors = [n for n in survivors if vals[n] % m in residues]
+        bases = floor_kth_root(open_vals[-1], q).root
+        if _LIST_COST * bases < len(candidates):
+            listed = _power_neighbours(open_vals, q, 0, 0, len(open_vals) - 1, bases)
+            survivors = [candidates[i] for i in listed]
+        else:
+            survivors = candidates
+            for m, residues in _screens(q):
+                survivors = [n for n in survivors if vals[n] % m in residues]
         before = len(found)
         for n in survivors:
             root, exact = floor_kth_root(vals[n], q)
@@ -412,4 +446,5 @@ def perfect_power_scan(
                 found[n] = PowerWitness(base=root, exponent=q)
         if len(found) > before:
             candidates = [n for n in candidates if n not in found]
+            open_vals = [vals[n] for n in candidates]
     return sorted(found.items())

@@ -68,11 +68,12 @@ def test_readme_library_sketch_runs_as_shown():
 
 
 LAYERS = ("partitions", "roots", "repulsion", "witnesses", "fitting")
-SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal")
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal", "importlib.resources")
 
 
 def test_import_is_eager_and_cheap():
-    # In a fresh process: `import partgap` loads every layer module,
+    # In a fresh process without site hooks (-S), which could load
+    # standard modules first: `import partgap` loads every layer module,
     # which perfbench's tracer wraps once the package is imported, and
     # `import partgap.cli` newly loads none of the slow standard modules.
     code = (
@@ -84,7 +85,7 @@ def test_import_is_eager_and_cheap():
         "print(json.dumps([sorted(package), sorted(set(sys.modules) - before)]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(partgap.__file__).parent.parent))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     package, new = json.loads(done.stdout)
     assert [m for m in LAYERS if "partgap." + m not in package] == []
     assert [m for m in SLOW_IMPORTS if m in new] == []

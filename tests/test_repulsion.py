@@ -16,7 +16,6 @@ from partgap.repulsion import (
     _distances,
     _n_d_from_events,
     _near_power_events_oracle,
-    _power_neighbours,
     _screen_base,
     limit_L,
     m_k_d,
@@ -27,7 +26,7 @@ from partgap.repulsion import (
     stabilization_threshold,
     threshold_rows,
 )
-from partgap.roots import floor_kth_root, nearest_power_distance
+from partgap.roots import _power_neighbours, floor_kth_root, nearest_power_distance
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgap.roots import (
     _is_perfect_power_oracle,
+    _power_neighbours,
     _screens,
     floor_kth_root,
     is_perfect_power,
@@ -275,3 +278,24 @@ def test_screened_power_test_below_the_modulus():
     top = max(m for q in prime_exponents_up_to(40) for m, _ in _screens(q))
     for v in range(0, top):
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+
+
+def exact_power_runs():
+    # ascending, with runs of equal powers and of equal non-powers
+    values = [2, 2, 3, 5, 5, 5, 7, 10, 10]
+    for k in (2, 3, 5):
+        for y in (1, 2, 3, 4, 7, 10):
+            values += [y**k] * random.Random(y * k).randint(1, 3) + [y**k + 1]
+    return sorted(values)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_power_neighbours_at_zero_cap_yields_each_equal_run_once(k):
+    values = exact_power_runs()
+    top = len(values) - 1
+    # windows that start or end inside a run, and a single index
+    for lo, hi in [(0, top), (1, top), (0, top - 1), (5, 30), (12, 12), (9, 40)]:
+        for bases in (floor_kth_root(values[hi], k).root, 3):
+            got = list(_power_neighbours(values, k, 0, lo, hi, bases))
+            powers = {y**k for y in range(1, bases + 1)}
+            assert got == [i for i in range(lo, hi + 1) if values[i] in powers]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import partgap.witnesses
 from partgap.partitions import PartitionTable, build_table
-from partgap.roots import _is_perfect_power_oracle
+from partgap.roots import PowerWitness, _is_perfect_power_oracle, _power_neighbours
 from partgap.witnesses import (
     PRIMES_UNDER_100,
     CoverageWitness,
@@ -360,3 +360,39 @@ def test_column_scan_rejects_negative_values():
     table = PartitionTable(values=(1, 1, 4, -8))
     with pytest.raises(ValueError):
         perfect_power_scan(table)
+
+
+def listing_scan_table():
+    # real p(2..1200), shuffled together with planted powers: y^q for q
+    # on both sides of the switch to listing, their neighbours, repeated
+    # listed powers, and 2^122 = (2^61)^2 = 4^61, a listed 61st power
+    # whose witness must keep exponent 2
+    values = list(build_table(1200).values[2:])
+    for q in (29, 31, 61, 67, 97, 101):
+        for y in (2, 3, 5):
+            values += [y**q, y**q - 1, y**q + 1]
+    values += [3**67, 5**61, 2**122, 2**122, 2**122 + 1]
+    random.Random(19).shuffle(values)
+    return PartitionTable(values=(1, 1) + tuple(values))
+
+
+def test_listing_scan_matches_oracle(monkeypatch):
+    listed = []
+
+    def recording(values, k, d_cap, lo, hi, bases):
+        # the list path runs only where its bases are few
+        assert d_cap == 0 and partgap.witnesses._LIST_COST * bases < hi + 1 - lo
+        listed.append(k)
+        return _power_neighbours(values, k, d_cap, lo, hi, bases)
+
+    monkeypatch.setattr(partgap.witnesses, "_power_neighbours", recording)
+    table = listing_scan_table()
+    want = [
+        (n, w)
+        for n in range(2, table.n_max + 1)
+        if (w := _is_perfect_power_oracle(table.values[n])) is not None
+    ]
+    hits = perfect_power_scan(table)
+    assert hits == want
+    assert {w for n, w in hits if table.values[n] == 2**122} == {PowerWitness(2**61, 2)}
+    assert {61, 67, 97, 101} <= set(listed) and 2 not in listed
