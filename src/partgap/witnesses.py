@@ -40,8 +40,9 @@ y = 1..Y and bisecting the sorted values for each
 (:func:`partgap.roots._power_neighbours` at d_cap 0) costs less and
 yields exactly the open q-th powers; at n_max 6000 that holds from
 q = 31 and at 25000 from q = 53.  Only the candidates get an exact
-root; the first exact root closes n and drops it before the next q, so
-the smallest prime exponent wins as it does value by value.
+root; the first exact root of n is kept and a later q that roots n
+again leaves it, so the smallest prime exponent wins as it does value
+by value.
 
 On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
 (``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000),
@@ -248,7 +249,7 @@ class ExceptionalTuple(NamedTuple):
 
 def _validate_tuple(t: ExceptionalTuple, where: str) -> None:
     q, a, y, k = t
-    if q < 2 or q >= 100 or any(q % f == 0 for f in range(2, math.isqrt(q) + 1)):
+    if q not in PRIMES_UNDER_100:
         raise ValueError("%s: first field must be a prime below 100, got %d" % (where, q))
     if a < 1:
         raise ValueError("%s: exponent must be >= 1, got %d" % (where, a))
@@ -405,8 +406,8 @@ def perfect_power_scan(
     :func:`partgap.roots.is_perfect_power`.  Both paths keep every open
     q-th power, so after the exact roots of the candidates the hits and
     witnesses are those of :func:`partgap.roots._is_perfect_power_oracle`
-    value by value: the first exact root closes n, and a closed n is
-    gone from the sorted values before the next q.
+    value by value: the first exact root of n is kept, and a later q
+    that roots n again leaves the smallest prime exponent's witness.
     """
     if n_hi is None:
         n_hi = table.n_max
@@ -439,12 +440,8 @@ def perfect_power_scan(
             survivors = candidates
             for m, residues in _screens(q):
                 survivors = [n for n in survivors if vals[n] % m in residues]
-        before = len(found)
         for n in survivors:
             root, exact = floor_kth_root(vals[n], q)
             if exact:
-                found[n] = PowerWitness(base=root, exponent=q)
-        if len(found) > before:
-            candidates = [n for n in candidates if n not in found]
-            open_vals = [vals[n] for n in candidates]
+                found.setdefault(n, PowerWitness(base=root, exponent=q))
     return sorted(found.items())

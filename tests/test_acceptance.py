@@ -158,17 +158,15 @@ def test_criterion_12_root_correctness():
 
 
 def test_criterion_13_fit_evaluation(table25k):
-    published = LogPolyModel(
-        degree=5,
-        coefficients=reference.PUBLISHED_DEG5_WINDOW70,
-        window_exponent=70,
-    )
+    # the degree-5 fit, the one over the whole published d range
+    degree, window, coefficients = reference.PUBLISHED_FITS[-1]
+    published = LogPolyModel(degree, coefficients, window)
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(published, d)
         assert abs(got - m) <= 0.05 * m, "published model off at d=%d" % d
-    d_values = [10**i for i in range(0, 71)]
+    d_values = [10**i for i in range(window + 1)]
     rows = threshold_rows(table25k, d_values, (50,))
-    refit = fit_log_poly([(d, m) for d, (m,) in rows], 5)
+    refit = fit_log_poly([(d, m) for d, (m,) in rows], degree)
     for d, m in reference.FIT_ANCHORS:
         got = evaluate(refit, d)
         assert abs(got - m) <= 0.10 * m, "refit off at d=%d" % d

@@ -3,17 +3,20 @@
 ``partgap/__init__.py`` has no ``__all__``: its import lines are the
 export list.  These are the names the benchmark's library workloads and
 the README's library sketch use, and the sketch itself runs as shown.
+The README's shell commands name commands and scripts that exist.
 """
 
 import ast
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import partgap
+from partgap.cli import build_parser
 
 CALLER_NAMES = (
     # perfbench/rep.py
@@ -65,6 +68,27 @@ def test_readme_library_sketch_runs_as_shown():
     ):
         assert got == want
         assert "# " + comment in block
+
+
+def test_readme_commands_exist():
+    # every `partgap ...` line of a README shell block parses, and every
+    # `python3 scripts/X.py` line names a script that is there
+    root = Path(__file__).parent.parent
+    parser, seen = build_parser(), set()
+    for block in re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["partgap"]:
+                try:
+                    parser.parse_args(words[1:])
+                except SystemExit:
+                    raise AssertionError("README command does not parse: " + line) from None
+            elif words[:1] == ["python3"] and words[1].startswith("scripts/"):
+                assert (root / words[1]).is_file(), "README names a missing script: " + line
+            else:
+                continue
+            seen.add(words[0])
+    assert seen == {"partgap", "python3"}
 
 
 LAYERS = ("partitions", "roots", "repulsion", "witnesses", "fitting")

@@ -15,7 +15,6 @@ SCRIPT = os.path.join(
     "scripts",
     "reproduce_all.py",
 )
-FIT_SCRIPT = os.path.join(os.path.dirname(SCRIPT), "fit_models.py")
 
 # the CSV headers reproduce_all.py has always written
 HEADERS = {
@@ -90,6 +89,9 @@ def test_reproduce_all_writes_every_table(tmp_path):
     assert done.returncode == 1
     assert "table2       MISMATCH" in done.stdout
     assert sorted(os.listdir(tmp_path)) == sorted(HEADERS)
+    # every published fit shape is refit and reported
+    for degree, window, _ in reference.PUBLISHED_FITS:
+        assert "degree %d over d <= 10^%d (k = 50):" % (degree, window) in done.stdout
     for name, header in HEADERS.items():
         assert (tmp_path / name).read_text().splitlines()[0] == header
     # the script's tables are what the CLI prints at --n-max 300 (table4
@@ -120,11 +122,13 @@ def test_reproduce_all_sweeps_once(tmp_path, monkeypatch):
     }
 
 
-def test_fit_models_prints_both_shapes():
-    done = run_script(FIT_SCRIPT, "--n-max", "2000")
-    assert done.returncode == 0, done.stderr
-    assert "degree 3 over d <= 10^12 (k = 50):" in done.stdout
-    assert "degree 5 over d <= 10^70 (k = 50):" in done.stdout
+def test_reproduce_all_fits_agree_at_25000(table25k, capsys):
+    # both published shapes, refit off p(0..25000), land within 10% of
+    # the series at every anchor in their window
+    assert load_script(SCRIPT).report_fits(table25k)
+    out = capsys.readouterr().out
+    for degree, _, _ in reference.PUBLISHED_FITS:
+        assert "fit-k50-deg%d OK" % degree in out
 
 
 def test_reproduce_all_rejects_short_tables(tmp_path, capsys):
@@ -141,18 +145,7 @@ def test_reproduce_all_rejects_short_tables(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # the shortest accepted table runs to the end and reports mismatches
     assert script.main(["--n-max", "52", "--out", str(tmp_path / "out")]) == 1
-    assert "fit-k50" in capsys.readouterr().out
-
-
-def test_fit_models_rejects_empty_table():
-    done = run_script(FIT_SCRIPT, "--n-max", "0")
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "error: --n-max must be >= 1, got 0" in done.stderr
-    assert "Traceback" not in done.stderr
-
-
-def test_fit_models_rejects_k_below_two():
-    done = run_script(FIT_SCRIPT, "--k", "1", "--n-max", "300")
-    assert (done.returncode, done.stdout) == (2, "")
-    assert "error: --k must be >= 2, got 1" in done.stderr
-    assert "Traceback" not in done.stderr
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines() if line.startswith("fit-")] == [
+        "fit-k50-deg%d" % degree for degree, _, _ in reference.PUBLISHED_FITS
+    ]
