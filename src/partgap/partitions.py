@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import os
-import tempfile
 from typing import IO, NamedTuple
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
@@ -92,6 +91,16 @@ def build_table(n_max: int) -> PartitionTable:
 
     p(n) = sum_j (-1)^(j+1) * [p(n - j(3j-1)/2) + p(n - j(3j+1)/2)],
     one forward pass, O(n^1.5) index operations on exact integers.
+
+    The sums run in C.  ``vals`` holds p(0..n-1) when p(n) is due, so
+    p(n - g) is ``vals[-g]``: the offsets g <= n of each sign, negated,
+    make one ``operator.itemgetter`` per sign, and p(n) is the sum of
+    the positive getter's items minus the negative one's.  The getters
+    change only where n reaches the next generalized pentagonal number,
+    about 2 * sqrt(2n/3) times in all.  Each starts with index 0 twice,
+    so it returns a tuple even with one or no offset (a one-index
+    itemgetter returns the bare item), and the padding p(0) cancels in
+    the difference.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0, got %d" % n_max)
@@ -101,18 +110,18 @@ def build_table(n_max: int) -> PartitionTable:
             % (n_max, MAX_TABLE_SIZE)
         )
     offsets = _pentagonal_offsets(n_max)
-    vals = [0] * (n_max + 1)
-    vals[0] = 1
-    for n in range(1, n_max + 1):
-        acc = 0
-        for off, sign in offsets:
-            if off > n:
-                break
-            if sign > 0:
-                acc += vals[n - off]
-            else:
-                acc -= vals[n - off]
-        vals[n] = acc
+    vals = [1]
+    append = vals.append
+    pos = [0, 0]
+    neg = [0, 0]
+    stops = [g for g, _ in offsets[1:]]
+    stops.append(n_max + 1)
+    for (g, sign), stop in zip(offsets, stops):
+        (pos if sign > 0 else neg).append(-g)
+        get_pos = operator.itemgetter(*pos)
+        get_neg = operator.itemgetter(*neg)
+        for _ in range(g, stop):
+            append(sum(get_pos(vals)) - sum(get_neg(vals)))
     return PartitionTable(values=tuple(vals))
 
 
@@ -225,6 +234,8 @@ def save_table(table: PartitionTable, path: str) -> None:
     then renamed over ``path``: an interrupted write never leaves a
     truncated table under the final name.
     """
+    import tempfile  # only saving needs it; keeps it out of start-up
+
     directory, name = os.path.split(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix="." + name + ".", suffix=".tmp", dir=directory)
     try:

@@ -45,6 +45,19 @@ def test_strictly_increasing_from_one(table_mid):
         assert vals[n] > vals[n - 1]
 
 
+def test_build_segments_meet_at_pentagonal_numbers():
+    # build_table rebuilds its per-sign getters where n reaches a
+    # generalized pentagonal number g and stops at n_max: every n_max
+    # next to such a g gives the prefix of one longer table, which
+    # matches the oracle value by value
+    full = build_table(300).values
+    assert list(full) == [count_partitions_oracle(n) for n in range(301)]
+    pentagonal = [j * (3 * j + s) // 2 for j in range(1, 15) for s in (-1, 1)]
+    edges = {0, 1} | {g + e for g in pentagonal if g <= 300 for e in (-1, 0, 1)}
+    for n in sorted(edges):
+        assert build_table(n).values == full[: n + 1], n
+
+
 @given(st.integers(min_value=0, max_value=400))
 @settings(max_examples=60, deadline=None)
 def test_recurrence_equals_oracle(n):
