@@ -7,7 +7,9 @@ The first ``keys`` columns of a row name it and each further column is
 one cell; :func:`diff` compares cells for the CLI ``--check`` mode,
 ``scripts/reproduce_all.py`` and the acceptance tests.  The table keeps
 its record walks (``PartitionTable.walks``), so artifacts computed on
-one table walk each k once.
+one table walk each k once; ``ks`` names the k whose walks an artifact
+reads, and the CLI keeps those walks in its cache directory, so
+commands run in separate processes over one cache walk each k once too.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ class Artifact(NamedTuple):
     keys: int  # leading columns that name a row; the rest are its cells
     compute: Callable[[PartitionTable], list[list[int]]]
     reference: tuple[tuple[int, ...], ...]
+    ks: tuple[int, ...] = ()  # the k whose record walks compute reads
 
     def cells(self, rows) -> dict[str, int]:
         """Rows flattened to {"<key>=<value> ... <column>": cell}."""
@@ -75,7 +78,7 @@ def _m_k_d_rows(name: str, key: str, d_values, ks, published) -> Artifact:
         return [[x, *cells] for x, (_, cells) in zip(keys, rows)]
 
     header = (key, *("k%d" % k for k in ks))
-    return Artifact(name, header, 1, compute, tuple(published))
+    return Artifact(name, header, 1, compute, tuple(published), tuple(ks))
 
 
 def _threshold_table(name: str, published: tuple) -> Artifact:

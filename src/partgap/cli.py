@@ -41,20 +41,36 @@ def _cache_dir(args) -> str | None:
     return os.environ.get(CACHE_ENV) or None
 
 
-def _acquire_table(args, n_max: int) -> PartitionTable:
+def _acquire_table(args, n_max: int, ks: Sequence[int] = ()) -> PartitionTable:
     """Build p(0..n_max), reusing a cached table when one suffices.
 
     Of a longer cached table only p(0..n_max) is read and checked, so
     what a command reports never depends on what the cache holds, and a
-    small query pays little for a large cache.  Commands call it after
-    every check of their input that needs no table, so input they reject
-    leaves no cache file behind.
+    small query pays little for a large cache.  With a cache directory,
+    the record walk of each k in ``ks`` is read from its walk file
+    ``pwalk_<n_max>_k<k>.txt`` into ``table.walks``, or walked and saved
+    there when the file is missing.  Commands call it after every check
+    of their input that needs no table, so input they reject leaves no
+    cache file behind.
     """
     if n_max < 1:
         raise ValueError("--n-max must be >= 1, got %d" % n_max)
     directory = _cache_dir(args)
     if directory is None:
         return build_table(n_max)
+    table = _cached_table(directory, n_max)
+    for k in ks:
+        path = os.path.join(directory, "pwalk_%d_k%d.txt" % (n_max, k))
+        if os.path.exists(path):
+            table.walks[k] = repulsion.load_walk(path, table, k)
+        else:
+            repulsion.save_walk(table, k, path)
+    return table
+
+
+def _cached_table(directory: str, n_max: int) -> PartitionTable:
+    # p(0..n_max) from the smallest cached table that holds it, or built
+    # and saved as ptable_<n_max>.txt
     names = os.listdir(directory) if os.path.isdir(directory) else []
     candidates = [
         (int(m.group(1)), name) for name in names
@@ -147,7 +163,7 @@ def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
 def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
     """Compute an artifact's rows, then check them or print them
     (``json_of(rows)`` is the object ``--format json`` prints)."""
-    rows = artifact.compute(_acquire_table(args, n_max))
+    rows = artifact.compute(_acquire_table(args, n_max, artifact.ks))
     if args.check:
         return _check_outcome(artifact, rows)
     _emit_table(args, artifact.header, rows, json_of(rows))
@@ -241,7 +257,7 @@ def cmd_figure_data(args) -> int:
         if exponents != repulsion.DEFAULT_EXPONENTS:
             raise ValueError("--check requires the default exponents 0..70")
         return _run_artifact(args, artifacts.figure_data(k_values), args.n_max, None)
-    table = _acquire_table(args, args.n_max)
+    table = _acquire_table(args, args.n_max, k_values)
     rows = repulsion.threshold_rows(table, [10**i for i in exponents], k_values)
     series = [[ms[j] for _, ms in rows] for j in range(len(k_values))]
     if args.format == "text":
@@ -354,7 +370,7 @@ def cmd_fit(args) -> int:
     for d in at:
         if d < 1:
             raise ValueError("model is defined for d >= 1, got %r" % (d,))
-    table = _acquire_table(args, args.n_max)
+    table = _acquire_table(args, args.n_max, (args.k,))
     rows = repulsion.threshold_rows(table, d_values, (args.k,))
     model = fitting.fit_log_poly([(d, m) for d, (m,) in rows], args.degree)
     evals = [(d, fitting.evaluate(model, d)) for d in at]

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 import os
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
 # this, but the value cache for n_max ~ 5M would need several GB; reject
@@ -36,8 +36,10 @@ class PartitionTable:
     defensive copies, and it holds p(0) at least.  ``n_max`` is
     ``len(values) - 1``, derived once.  ``walks`` is a memo that the
     :mod:`repulsion` threshold queries fill, k -> (ascending distances,
-    their n) of the record walk over this table.  Equality, hash and
-    repr go by ``values`` alone.
+    their n) of the record walk over this table.  It lives as long as
+    the table; the CLI keeps walks across processes in its cache
+    directory (``repulsion.save_walk`` and ``load_walk``) and fills the
+    memo from there.  Equality, hash and repr go by ``values`` alone.
     """
 
     __slots__ = ("values", "n_max", "walks")
@@ -227,12 +229,11 @@ def dump_values(table: PartitionTable, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def save_table(table: PartitionTable, path: str) -> None:
-    """Persist a table: first line n_max, then one value per line.
-
-    The table goes to a temporary file in the same directory, which is
-    then renamed over ``path``: an interrupted write never leaves a
-    truncated table under the final name.
+def write_atomically(path: str, write: Callable[[IO[str]], None]) -> None:
+    """Call ``write(stream)`` on a temporary file in the directory of
+    ``path``, then rename that file over ``path``.  An interrupted or
+    failed write removes the temporary file, so no truncated file is
+    ever left under the final name.
     """
     import tempfile  # only saving needs it; keeps it out of start-up
 
@@ -240,12 +241,22 @@ def save_table(table: PartitionTable, path: str) -> None:
     fd, tmp = tempfile.mkstemp(prefix="." + name + ".", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write("%d\n" % table.n_max)
-            dump_values(table, fh)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_table(table: PartitionTable, path: str) -> None:
+    """Persist a table: first line n_max, then one value per line,
+    written atomically (:func:`write_atomically`)."""
+
+    def write(fh: IO[str]) -> None:
+        fh.write("%d\n" % table.n_max)
+        dump_values(table, fh)
+
+    write_atomically(path, write)
 
 
 def cache_int(path: str, lineno: int, line: bytes) -> int:

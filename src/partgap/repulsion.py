@@ -29,6 +29,10 @@ screen cannot prove farther than the cap from every k-th power.
 call per pair, so the oracle stays independent of the kernel.  The work
 is paid once and shared by every table, figure, and N_d query built on
 top.
+
+``save_walk`` and ``load_walk`` keep a record walk in a file, checked
+against the table when it is read back; with them the CLI walks each k
+once per cache directory, not once per process.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import heapq
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .partitions import PartitionTable
+from .partitions import PartitionTable, write_atomically
 from .roots import _bracket, _power_neighbours, floor_kth_root, nearest_power_distance
 
 DEFAULT_EXPONENTS = tuple(range(0, 71))
@@ -70,6 +74,101 @@ def _records(table: PartitionTable, k: int) -> Iterator[tuple[int, int]]:
                 return
 
 
+def _walk(table: PartitionTable, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The record walk of k over the table, as (ascending distances, their
+    # n), kept in table.walks[k]: walked on the first call for k only.
+    walk = table.walks.get(k)
+    if walk is None:
+        walk = table.walks[k] = tuple(zip(*reversed(list(_records(table, k)))))
+    return walk
+
+
+def save_walk(table: PartitionTable, k: int, path: str) -> str:
+    """Write the record walk of k over the table to ``path``, walking it
+    first unless ``table.walks`` holds it, and return ``path``.
+
+    The file is a header line ``n_max k count`` and then one line
+    ``distance n`` per record, ascending: distances rise strictly from
+    0, and n rise strictly up to n_max.  The lines are written one at a
+    time, so no copy of the whole file is held in memory, to a temporary
+    file renamed over ``path`` (``partitions.write_atomically``).
+    """
+    dists, ns = _walk(table, k)
+
+    def write(fh) -> None:
+        fh.write("%d %d %d\n" % (table.n_max, k, len(ns)))
+        for record in zip(dists, ns):
+            fh.write("%d %d\n" % record)
+
+    write_atomically(path, write)
+    return path
+
+
+def _walk_ints(path: str, lineno: int, line: bytes, width: int) -> list[int]:
+    # Line lineno of a walk file as exactly ``width`` integers.
+    fields = line.split()
+    if len(fields) == width:
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            pass
+    shown = repr(line.strip())[1:]  # as a str literal: '3 x', ''
+    raise ValueError(
+        "walk file %s: line %d is not %d integers: %s" % (path, lineno, width, shown)
+    )
+
+
+def load_walk(path: str, table: PartitionTable, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of :func:`save_walk`, checked against ``table`` before it
+    is trusted; returns (ascending distances, their n) as
+    ``table.walks[k]`` holds them.
+
+    The header must name this table's n_max and this k, and its count
+    must match the records that follow.  The distances must rise
+    strictly from 0, the n strictly from at least 1 to n_max, and each
+    distance must equal the distance from p(n) to the nearest k-th
+    power (as :func:`nearest_power_distance` gives it), taken again on
+    ``table`` by the walk's own kernel.  That catches any one changed
+    record and a file left from another table or k.  It cannot catch a
+    record deleted together with a matching edit of the count: the rest
+    still passes, and answers that record would have given change.
+    Raises ValueError naming the file otherwise.
+    """
+    with open(path, "rb") as fh:
+        n_max, file_k, count = _walk_ints(path, 1, fh.readline(), 3)
+        if (n_max, file_k) != (table.n_max, k):
+            raise ValueError(
+                "walk file %s: header says n_max=%d k=%d, want n_max=%d k=%d"
+                % (path, n_max, file_k, table.n_max, k)
+            )
+        dists, ns = [], []
+        for lineno, line in enumerate(fh, start=2):
+            dist, n = _walk_ints(path, lineno, line, 2)
+            dists.append(dist)
+            ns.append(n)
+    if count != len(ns):
+        raise ValueError(
+            "walk file %s: header says %d records but %d follow" % (path, count, len(ns))
+        )
+    if not ns or dists[0] != 0 or ns[0] < 1 or ns[-1] != n_max:
+        raise ValueError(
+            "walk file %s: records must run from distance 0 at n >= 1 up to n = %d"
+            % (path, n_max)
+        )
+    for i in range(1, len(ns)):
+        if dists[i] <= dists[i - 1] or ns[i] <= ns[i - 1]:
+            raise ValueError(
+                "walk file %s: record %d does not rise above record %d" % (path, i + 1, i)
+            )
+    for (n, dist), kept in zip(_distances(table.values, k, ns), dists):
+        if dist != kept:
+            raise ValueError(
+                "walk file %s: p(%d) lies %d from the nearest k-th power for k=%d, not %d"
+                % (path, n, dist, k, kept)
+            )
+    return tuple(dists), tuple(ns)
+
+
 def m_k_d(table: PartitionTable, k: int, d: int) -> int:
     """Largest n in the table with p(n) within distance d of a k-th power.
 
@@ -82,9 +181,7 @@ def m_k_d(table: PartitionTable, k: int, d: int) -> int:
         raise ValueError("d must be >= 0, got %d" % d)
     if k < 2:
         raise ValueError("k must be >= 2, got %d" % k)
-    if k not in table.walks:
-        table.walks[k] = tuple(zip(*reversed(list(_records(table, k)))))
-    dists, ns = table.walks[k]
+    dists, ns = _walk(table, k)
     # the walk's last record has distance 0, so the bisect never misses
     return ns[bisect.bisect_right(dists, d) - 1]
 

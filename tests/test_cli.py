@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -7,7 +8,9 @@ import sys
 import pytest
 
 import partgap.partitions
+import partgap.repulsion
 from partgap.cli import main
+from partgap.reference import REFERENCE_K_VALUES
 
 TABLE1_CSV = (
     "n,p,k2,k3,k4\n"
@@ -74,10 +77,12 @@ def test_bad_input_writes_no_cache(capsys, tmp_path):
         (("s-check", "--range", "-2", "4"), "scan range [-2, 4] outside table 0..4"),
         (("pn", "0", "--estimate"), "--estimate needs n >= 1"),
         (("table4", "--d-max", "abc"), "bad threshold 'abc' (use an integer or 10^i)"),
+        (("figure-data", "--k", "1"), "every k must be >= 2"),
+        (("figure-data", "--d-exp", "9..2"), "empty exponent range '9..2'"),
     ],
 )
 def test_input_checked_before_the_table_is_cached(capsys, tmp_path, argv, message):
-    if argv[0] in ("fit", "table4"):
+    if argv[0] in ("fit", "table4", "figure-data"):
         argv += ("--n-max", "300")
     code, out, err = run(capsys, *argv, "--cache", str(tmp_path))
     assert (code, out, err) == (2, "", "error: %s\n" % message)
@@ -482,6 +487,148 @@ def test_cache_interrupted_write_leaves_no_table(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out == "9253082936723602\n"
     assert os.listdir(tmp_path) == ["ptable_300.txt"]
+
+
+N300 = ("--n-max", "300")
+WALK_FILES = sorted("pwalk_300_k%d.txt" % k for k in REFERENCE_K_VALUES)
+
+
+def test_walks_are_taken_once_per_cache(capsys, tmp_path, monkeypatch):
+    calls = collections.Counter()
+    real = partgap.repulsion._records
+
+    def counted(table, k):
+        calls[k] += 1
+        return real(table, k)
+
+    monkeypatch.setattr(partgap.repulsion, "_records", counted)
+    cache = ("--cache", str(tmp_path))
+    assert run(capsys, "table2", *N300, *cache)[0] == 0
+    assert calls == {k: 1 for k in REFERENCE_K_VALUES}
+    assert sorted(os.listdir(tmp_path)) == ["ptable_300.txt", *WALK_FILES]
+    calls.clear()
+    for argv in (
+        ("table3", *N300),
+        ("figure-data", *N300),
+        ("figure-data", *N300, "--check"),
+        ("fit", *N300, "--d-exp", "0..8", "--degree", "3"),
+    ):
+        assert run(capsys, *argv, *cache)[0] in (0, 1)
+    assert calls == {}
+    assert sorted(os.listdir(tmp_path)) == ["ptable_300.txt", *WALK_FILES]
+
+
+WALK_COMMANDS = [
+    *((name, fmt) for name in ("table2", "table3") for fmt in ("csv", "json", "text", "check")),
+    *(("figure-data", fmt) for fmt in ("csv", "json", "text", "check")),
+    ("fit", "text"),
+    ("fit", "json"),
+]
+
+
+@pytest.mark.parametrize("name, fmt", WALK_COMMANDS, ids=["-".join(c) for c in WALK_COMMANDS])
+def test_walk_cache_leaves_output_unchanged(capsys, tmp_path, name, fmt):
+    argv = [name, *N300, "--check" if fmt == "check" else "--format=" + fmt]
+    if name == "fit":
+        argv += ["--d-exp", "0..8", "--degree", "3", "--eval", "10^4"]
+    plain = run(capsys, *argv)
+    assert plain[0] in (0, 1) and plain[2] == ""
+    fresh = run(capsys, *argv, "--cache", str(tmp_path))
+    assert any(f.startswith("pwalk_300_") for f in os.listdir(tmp_path))
+    warm = run(capsys, *argv, "--cache", str(tmp_path))
+    assert fresh == plain
+    assert warm == plain
+
+
+def _changed_distance(lines):
+    # a record whose distance can grow by one and still rise below the
+    # next: only the recheck of p(n) can catch it
+    i = next(
+        i for i in range(2, len(lines) - 1)
+        if int(lines[i].split()[0]) + 1 < int(lines[i + 1].split()[0])
+    )
+    dist, n = map(int, lines[i].split())
+    lines[i] = "%d %d" % (dist + 1, n)
+    return lines, "p(%d) lies %d from the nearest k-th power for k=3, not %d" % (n, dist, dist + 1)
+
+
+def _header(lines, n_max, k, count):
+    lines[0] = "%d %d %d" % (n_max, k, count)
+    return lines
+
+
+# each takes the lines of pwalk_300_k3.txt and returns the damaged lines
+# and the message that loading them must give
+WALK_DAMAGE = {
+    "header-k": lambda lines: (
+        _header(lines, 300, 4, len(lines) - 1),
+        "header says n_max=300 k=4, want n_max=300 k=3",
+    ),
+    "header-n-max": lambda lines: (
+        _header(lines, 200, 3, len(lines) - 1),
+        "header says n_max=200 k=3, want n_max=300 k=3",
+    ),
+    "count-off-by-one": lambda lines: (
+        _header(lines, 300, 3, len(lines)),
+        "header says %d records but %d follow" % (len(lines), len(lines) - 1),
+    ),
+    "distance-changed": _changed_distance,
+    "record-deleted": lambda lines: (
+        lines[:5] + lines[6:],
+        "header says %d records but %d follow" % (len(lines) - 1, len(lines) - 2),
+    ),
+    "out-of-order": lambda lines: (
+        lines[:4] + [lines[5], lines[4]] + lines[6:],
+        "record 5 does not rise above record 4",
+    ),
+    "not-an-integer": lambda lines: (
+        lines[:3] + ["12 x"] + lines[4:],
+        "line 4 is not 2 integers: '12 x'",
+    ),
+    "empty": lambda lines: ([], "line 1 is not 3 integers: ''"),
+}
+
+
+@pytest.mark.parametrize("damage", list(WALK_DAMAGE))
+def test_damaged_walk_file_is_refused(capsys, tmp_path, damage):
+    cache = ("--cache", str(tmp_path))
+    assert run(capsys, "table2", *N300, *cache)[0] == 0
+    path = tmp_path / "pwalk_300_k3.txt"
+    lines, message = WALK_DAMAGE[damage](path.read_text().splitlines())
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "table3", *N300, *cache)
+    assert (code, out) == (2, "")
+    assert err == "error: walk file %s: %s\n" % (path, message)
+
+
+def test_cache_interrupted_walk_write_leaves_no_walk(capsys, tmp_path, monkeypatch):
+    cache = ("--cache", str(tmp_path))
+    assert run(capsys, "pn", "300", *cache)[0] == 0
+    fdopen = os.fdopen
+
+    class FailsAfterFiveLines:
+        def __init__(self, stream):
+            self.stream, self.lines = stream, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.stream.close()
+
+        def write(self, text):
+            self.lines += 1
+            if self.lines > 5:
+                raise OSError("disk full")
+            return self.stream.write(text)
+
+    monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FailsAfterFiveLines(fdopen(*a, **kw)))
+    assert run(capsys, "table2", *N300, *cache) == (2, "", "error: disk full\n")
+    assert os.listdir(tmp_path) == ["ptable_300.txt"]
+    monkeypatch.undo()
+    want = run(capsys, "table2", *N300)
+    assert run(capsys, "table2", *N300, *cache) == want
+    assert sorted(os.listdir(tmp_path)) == ["ptable_300.txt", *WALK_FILES]
 
 
 def test_cli_import_loads_stdlib_only():

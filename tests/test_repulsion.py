@@ -2,7 +2,9 @@ import collections
 import fractions
 import functools
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,13 @@ from partgap.repulsion import (
     _near_power_events_oracle,
     _screen_base,
     limit_L,
+    load_walk,
     m_k_d,
     n_d,
     n_d_batch,
     n_d_intervals,
     near_power_events,
+    save_walk,
     stabilization_threshold,
     threshold_rows,
 )
@@ -280,6 +284,19 @@ def test_m_k_d_and_threshold_rows_share_one_walk(monkeypatch):
     rows = threshold_rows(table, (0, 10**6), (2, 3))
     assert calls == {(300, 2): 1, (300, 3): 1}
     assert [cells[j] for j in (0, 1) for _, cells in rows] == singles
+
+
+@given(
+    st.integers(min_value=1, max_value=600),
+    st.sampled_from((*range(2, 13), 50, 100)),
+)
+@settings(max_examples=80, deadline=None)
+def test_saved_walk_loads_as_a_fresh_walk(n_max, k):
+    values = cached_table(600).values[: n_max + 1]
+    fresh = tuple(zip(*reversed(list(partgap.repulsion._records(PartitionTable(values), k)))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_walk(PartitionTable(values), k, os.path.join(tmp, "walk.txt"))
+        assert load_walk(path, PartitionTable(values), k) == fresh
 
 
 @st.composite
