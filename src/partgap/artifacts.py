@@ -1,8 +1,10 @@
 """The paper's tables as artifacts, and the one comparison with ``reference``.
 
 An artifact has a name, its CSV header, ``compute(table)`` returning
-its rows over the whole table, and its frozen reference rows in the
-same layout.
+its rows over the whole table, its frozen reference rows in the same
+layout, and the layouts it prints: ``json(rows, n_max)`` is its
+``--format json`` object and ``lines(rows)`` its ``--format text``
+lines.  So the CLI runs every table command through one handler.
 The first ``keys`` columns of a row name it and each further column is
 one cell; :func:`diff` compares cells for the CLI ``--check`` mode,
 ``scripts/reproduce_all.py`` and the acceptance tests.  The table keeps
@@ -23,14 +25,17 @@ from .roots import nearest_power_distance
 
 
 class Artifact(NamedTuple):
-    """One published table: its layout, how to compute it, its reference."""
+    """One published table: its layouts, how to compute it, its reference."""
 
     name: str
     header: tuple[str, ...]
     keys: int  # leading columns that name a row; the rest are its cells
     compute: Callable[[PartitionTable], list[list[int]]]
     reference: tuple[tuple[int, ...], ...]
+    json: Callable[[list[list[int]], int], object]  # (rows, n_max) -> --format json
     ks: tuple[int, ...] = ()  # the k whose record walks compute reads
+    text: Callable[[list[list[int]]], list[str]] | None = None  # None: aligned columns
+    unchecked: str = ""  # why there is no reference to check against, if there is none
 
     def cells(self, rows) -> dict[str, int]:
         """Rows flattened to {"<key>=<value> ... <column>": cell}."""
@@ -45,6 +50,14 @@ class Artifact(NamedTuple):
     def want(self) -> dict[str, int]:
         """The reference cells; their number is the artifact's cell count."""
         return self.cells(self.reference)
+
+    def lines(self, rows) -> list[str]:
+        """The text layout: ``text(rows)``, or right-aligned columns."""
+        if self.text is not None:
+            return self.text(rows)
+        grid = [self.header, *rows]
+        widths = [max(len(str(c)) for c in column) for column in zip(*grid)]
+        return ["  ".join(str(c).rjust(w) for c, w in zip(r, widths)) for r in grid]
 
 
 def diff(got: dict[str, int], want: dict[str, int]) -> list[str]:
@@ -68,43 +81,76 @@ def write_csv(stream: IO[str], header: Sequence[str], rows) -> None:
     writer.writerows(rows)
 
 
-def _m_k_d_rows(name: str, key: str, d_values, ks, published) -> Artifact:
+def _m_k_d_rows(name, key, keys, d_values, ks, published, json, **layout) -> Artifact:
     """Rows [key, m_k_d for each k] at fixed d: row i is taken at
-    d_values[i] and keyed as published row i."""
-    keys = [row[0] for row in published]
+    d_values[i] and keyed keys[i]."""
 
     def compute(table):
         rows = repulsion.threshold_rows(table, d_values, ks)
         return [[x, *cells] for x, (_, cells) in zip(keys, rows)]
 
     header = (key, *("k%d" % k for k in ks))
-    return Artifact(name, header, 1, compute, tuple(published), tuple(ks))
+    return Artifact(name, header, 1, compute, tuple(published), json, tuple(ks), **layout)
 
 
 def _threshold_table(name: str, published: tuple) -> Artifact:
-    rows = tuple((d, *cells) for d, cells in published)
-    return _m_k_d_rows(name, "d", [d for d, _ in published], reference.REFERENCE_K_VALUES, rows)
+    ks, ds = reference.REFERENCE_K_VALUES, [d for d, _ in published]
+
+    def json(rows, n_max):
+        return {"n_max": n_max, "k_values": ks, "rows": [[r[0], r[1:]] for r in rows]}
+
+    rows = [(d, *cells) for d, cells in published]
+    return _m_k_d_rows(name, "d", ds, ds, ks, rows, json)
 
 
-def figure_data(k_values: Sequence[int] = tuple(reference.FIGURE_SERIES)) -> Artifact:
-    """The series at d = 10^0..10^70 of those k that have a reference."""
-    ks = tuple(k for k in k_values if k in reference.FIGURE_SERIES)
-    if not ks:
-        raise ValueError("no reference series for k in %r" % (tuple(k_values),))
-    exps = repulsion.DEFAULT_EXPONENTS
-    published = tuple(zip(exps, *(reference.FIGURE_SERIES[k] for k in ks)))
-    return _m_k_d_rows("figure-data", "i", [10**i for i in exps], ks, published)
+def figure_data(
+    k_values: Sequence[int] = tuple(reference.FIGURE_SERIES),
+    exponents: tuple[int, ...] = repulsion.DEFAULT_EXPONENTS,
+) -> Artifact:
+    """The series M_k(10^i) of each k over the exponents i.  It has a
+    reference only when every k has a published series and the exponents
+    are the published 0..70."""
+    series = reference.FIGURE_SERIES
+    missing = ",".join(str(k) for k in k_values if k not in series)
+    if exponents != repulsion.DEFAULT_EXPONENTS:
+        unchecked = "--check requires the default exponents 0..70"
+    else:
+        unchecked = missing and "no reference series for k=" + missing
+    published = () if unchecked else zip(exponents, *(series[k] for k in k_values))
+
+    def by_k(rows):  # k -> its series, the columns after i
+        return dict(zip(k_values, list(zip(*rows))[1:]))
+
+    def json(rows, n_max):
+        return {"n_max": n_max, "d_exponents": exponents, "series": by_k(rows)}
+
+    def text(rows):
+        return [
+            "k=%d: %s" % (k, " ".join(map("(%d,%d)".__mod__, zip(exponents, ms))))
+            for k, ms in by_k(rows).items()
+        ]
+
+    d_values = [10**i for i in exponents]
+    return _m_k_d_rows(
+        "figure-data", "i", exponents, d_values, k_values, published, json,
+        text=text, unchecked=unchecked,
+    )
 
 
 def table4(d_max: int = reference.TABLE4_INTERVALS[-1][1]) -> Artifact:
     """The runs of n_d over 0..d_max, against the reference runs clipped there."""
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0, got %d" % d_max)
 
     def compute(table):
         return [list(run) for run in repulsion.n_d_intervals(table, d_max)]
 
+    def json(rows, n_max):
+        return {"n_max": n_max, "intervals": rows}
+
     runs = reference.TABLE4_INTERVALS
     clipped = tuple((lo, min(hi, d_max), n) for lo, hi, n in runs if lo <= d_max)
-    return Artifact("table4", ("d_lo", "d_hi", "n_d"), 2, compute, clipped)
+    return Artifact("table4", ("d_lo", "d_hi", "n_d"), 2, compute, clipped, json)
 
 
 def _table1(table):
@@ -118,6 +164,7 @@ TABLE1 = Artifact(
     2,
     _table1,
     tuple((n, p, *d) for (n, p), (_, d) in zip(reference.SAMPLE_P, reference.TABLE1)),
+    lambda rows, n_max: {"rows": rows, "columns": TABLE1.header},
 )
 TABLE2 = _threshold_table("table2", reference.TABLE2)
 TABLE3 = _threshold_table("table3", reference.TABLE3)

@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Sequence
 
-from . import artifacts, fitting, reference, repulsion, witnesses
+from . import artifacts, fitting, repulsion, witnesses
 from .partitions import (
     PartitionTable,
     build_table,
@@ -134,42 +134,6 @@ def _parse_threshold(text: str) -> int:
         raise ValueError("bad threshold %r (use an integer or 10^i)" % text)
 
 
-def _emit_table(args, header: Sequence[str], rows: list[list], json_obj) -> None:
-    if args.format == "csv":
-        artifacts.write_csv(sys.stdout, header, rows)
-    elif args.format == "json":
-        print(json.dumps(json_obj, indent=2))
-    else:
-        widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows))
-            for i, h in enumerate(header)
-        ]
-        print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-        for r in rows:
-            print("  ".join(str(c).rjust(w) for c, w in zip(r, widths)))
-
-
-def _check_outcome(artifact: artifacts.Artifact, rows: list[list]) -> int:
-    mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
-    if mismatches:
-        for line in mismatches:
-            print("MISMATCH %s" % line)
-        print("%s: FAILED (%d mismatches)" % (artifact.name, len(mismatches)))
-        return 1
-    print("%s: OK (%d cells)" % (artifact.name, len(artifact.want)))
-    return 0
-
-
-def _run_artifact(args, artifact: artifacts.Artifact, n_max: int, json_of) -> int:
-    """Compute an artifact's rows, then check them or print them
-    (``json_of(rows)`` is the object ``--format json`` prints)."""
-    rows = artifact.compute(_acquire_table(args, n_max, artifact.ks))
-    if args.check:
-        return _check_outcome(artifact, rows)
-    _emit_table(args, artifact.header, rows, json_of(rows))
-    return 0
-
-
 # ---------------------------------------------------------------- pn
 
 def _require_n(n: int) -> None:
@@ -215,67 +179,38 @@ def cmd_delta(args) -> int:
 
 # ------------------------------------------------------------ tables
 
-def cmd_table1(args) -> int:
-    columns = artifacts.TABLE1.header
-    return _run_artifact(
-        args, artifacts.TABLE1, 50, lambda rows: {"rows": rows, "columns": columns}
-    )
+def cmd_table(args) -> int:
+    """Every table command: ``args.artifact_of(args)`` checks the
+    command's own input and names its artifact and n_max; the rows are
+    then checked against the artifact's reference or printed in one of
+    its layouts."""
+    artifact, n_max = args.artifact_of(args)
+    if args.check and artifact.unchecked:
+        raise ValueError(artifact.unchecked)
+    rows = artifact.compute(_acquire_table(args, n_max, artifact.ks))
+    if args.check:
+        mismatches = artifacts.diff(artifact.cells(rows), artifact.want)
+        for line in mismatches:
+            print("MISMATCH %s" % line)
+        if mismatches:
+            print("%s: FAILED (%d mismatches)" % (artifact.name, len(mismatches)))
+            return 1
+        print("%s: OK (%d cells)" % (artifact.name, len(artifact.want)))
+        return 0
+    if args.format == "csv":
+        artifacts.write_csv(sys.stdout, artifact.header, rows)
+    elif args.format == "json":
+        print(json.dumps(artifact.json(rows, n_max), indent=2))
+    else:
+        for line in artifact.lines(rows):
+            print(line)
+    return 0
 
 
-def cmd_threshold_table(args) -> int:
-    """Tables 2 and 3; ``args.artifact`` says which."""
-    return _run_artifact(
-        args,
-        args.artifact,
-        args.n_max,
-        lambda rows: {
-            "n_max": args.n_max,
-            "k_values": list(reference.REFERENCE_K_VALUES),
-            "rows": [[r[0], r[1:]] for r in rows],
-        },
-    )
-
-
-def cmd_table4(args) -> int:
-    d_max = _parse_threshold(args.d_max)
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0, got %d" % d_max)
-    return _run_artifact(
-        args,
-        artifacts.table4(d_max),
-        args.n_max,
-        lambda rows: {"n_max": args.n_max, "intervals": rows},
-    )
-
-
-# ------------------------------------------------------- figure-data
-
-def cmd_figure_data(args) -> int:
+def _figure_data(args) -> tuple[artifacts.Artifact, int]:
     k_values = _parse_k_list(args.k)
     exponents = _parse_exponents(args.d_exp)
-    if args.check:
-        if exponents != repulsion.DEFAULT_EXPONENTS:
-            raise ValueError("--check requires the default exponents 0..70")
-        return _run_artifact(args, artifacts.figure_data(k_values), args.n_max, None)
-    table = _acquire_table(args, args.n_max, k_values)
-    rows = repulsion.threshold_rows(table, [10**i for i in exponents], k_values)
-    series = [[ms[j] for _, ms in rows] for j in range(len(k_values))]
-    if args.format == "text":
-        for k, ms in zip(k_values, series):
-            pairs = " ".join("(%d,%d)" % im for im in zip(exponents, ms))
-            print("k=%d: %s" % (k, pairs))
-        return 0
-    _emit_table(
-        args,
-        ["i", *["k%d" % k for k in k_values]],
-        [[i, *ms] for i, (_, ms) in zip(exponents, rows)],
-        {
-            "n_max": args.n_max,
-            "d_exponents": list(exponents),
-            "series": {str(k): ms for k, ms in zip(k_values, series)},
-        },
-    )
-    return 0
+    return artifacts.figure_data(k_values, exponents), args.n_max
 
 
 # ----------------------------------------------------------- s-check
@@ -407,12 +342,12 @@ def _add_format(p, choices=("csv", "json", "text"), default="csv") -> None:
     p.add_argument("--format", choices=list(choices), default=default)
 
 
-def _add_table(p, func, default_format="csv", **defaults) -> None:
+def _add_table(p, artifact_of, default_format="csv") -> None:
     # Added after the command's own options, so --help keeps its order.
     p.add_argument("--check", action="store_true")
     _add_format(p, default=default_format)
     _add_cache(p)
-    p.set_defaults(func=func, **defaults)
+    p.set_defaults(func=cmd_table, artifact_of=artifact_of)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,26 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("table1", help="sample distances for n = 10..50, k = 2..4")
-    _add_table(p, cmd_table1)
+    _add_table(p, lambda args: (artifacts.TABLE1, 50))
 
     p = sub.add_parser("table2", help="largest n within d of a k-th power, d = 0 and powers of ten")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
-    _add_table(p, cmd_threshold_table, artifact=artifacts.TABLE2)
+    _add_table(p, lambda args: (artifacts.TABLE2, args.n_max))
 
     p = sub.add_parser("table3", help="largest n within d of a k-th power, d = 0..6")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
-    _add_table(p, cmd_threshold_table, artifact=artifacts.TABLE3)
+    _add_table(p, lambda args: (artifacts.TABLE3, args.n_max))
 
     p = sub.add_parser("table4", help="stabilization indices n_d as constant runs over d")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
     p.add_argument("--d-max", default="2534", metavar="D", help="last d of the runs (integer or 10^i)")
-    _add_table(p, cmd_table4)
+    _add_table(p, lambda args: (artifacts.table4(_parse_threshold(args.d_max)), args.n_max))
 
     p = sub.add_parser("figure-data", help="per-k series at d = 10^i, plot-ready")
     p.add_argument("--n-max", type=int, default=repulsion.DEFAULT_N_MAX)
     p.add_argument("--k", default="2,3,4,5,6,7,8,50", help="comma-separated k list")
     p.add_argument("--d-exp", default="0..70", help="exponent range LO..HI or list a,b,c")
-    _add_table(p, cmd_figure_data, default_format="text")
+    _add_table(p, _figure_data, default_format="text")
 
     p = sub.add_parser("s-check", help="square-plus-prime-power decompositions of p(n)")
     p.add_argument("n", type=int, nargs="?")

@@ -225,8 +225,7 @@ def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
 
 def dump_values(table: PartitionTable, stream: IO[str]) -> None:
     """Write p(0..n_max) as newline-delimited decimal integers."""
-    stream.write("\n".join(map(str, table.values)))
-    stream.write("\n")
+    stream.writelines(map("%d\n".__mod__, table.values))
 
 
 def write_atomically(path: str, write: Callable[[IO[str]], None]) -> None:

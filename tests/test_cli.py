@@ -79,6 +79,12 @@ def test_bad_input_writes_no_cache(capsys, tmp_path):
         (("table4", "--d-max", "abc"), "bad threshold 'abc' (use an integer or 10^i)"),
         (("figure-data", "--k", "1"), "every k must be >= 2"),
         (("figure-data", "--d-exp", "9..2"), "empty exponent range '9..2'"),
+        (("figure-data", "--check", "--k", "2,9"), "no reference series for k=9"),
+        (("figure-data", "--check", "--k", "9,2,10"), "no reference series for k=9,10"),
+        (
+            ("figure-data", "--check", "--k", "9", "--d-exp", "0..5"),
+            "--check requires the default exponents 0..70",
+        ),
     ],
 )
 def test_input_checked_before_the_table_is_cached(capsys, tmp_path, argv, message):
@@ -253,6 +259,14 @@ def test_figure_data_check_needs_default_grid(capsys):
     )
     assert code == 2
     assert "0..70" in err
+
+
+def test_figure_data_prints_k_without_reference_series(capsys):
+    code, out, err = run(
+        capsys, "figure-data", "--n-max", "300", "--k", "9", "--d-exp", "0..3"
+    )
+    assert (code, err) == (0, "")
+    assert out == "k=9: (0,2) (1,6) (2,19) (3,23)\n"
 
 
 def test_s_check_covered_range(capsys):

@@ -36,6 +36,8 @@ CASES = [
     ("figure-data-text", (*FIGURE, "--format", "text"), 0),
     ("figure-data-csv", (*FIGURE, "--format", "csv"), 0),
     ("figure-data-json", (*FIGURE, "--format", "json"), 0),
+    # n_max 300 cannot reach the published series past d = 10^6
+    ("figure-data-check", ("figure-data", *N300, "--k", "2,50", "--check"), 1),
 ]
 
 

@@ -218,6 +218,7 @@ def test_load_rejects_values_off_the_sequence(tmp_path, table_small, n, fragment
 def test_dump_values(table_small):
     buf = io.StringIO()
     dump_values(table_small, buf)
+    assert buf.getvalue() == "\n".join(map(str, table_small.values)) + "\n"
     lines = buf.getvalue().splitlines()
     assert len(lines) == 121
     assert lines[0] == "1"
