@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable, write_atomically
@@ -47,6 +48,7 @@ from .roots import _bracket, _power_neighbours, floor_kth_root, nearest_power_di
 
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
+_RUN_START = itemgetter(0)  # d_lo of a run (d_lo, d_hi, N)
 
 
 def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -206,6 +208,17 @@ def threshold_rows(
     return [(d, tuple(m_k_d(table, k, d) for k in k_values)) for d in d_values]
 
 
+def _check_decidable(table: PartitionTable, d: int) -> None:
+    # d >= 0, then d < p(n_max) - 1, where limit_L(d) is attained inside
+    # the table: two comparisons, shared by limit_L and the n_d family
+    if d < 0:
+        raise ValueError("d must be >= 0, got %d" % d)
+    if d >= table.values[table.n_max] - 1:
+        raise ValueError(
+            "d=%d is not below p(n_max) - 1; extend the table" % d
+        )
+
+
 def limit_L(table: PartitionTable, d: int) -> int:
     """Largest n with p(n) - 1 <= d.
 
@@ -214,14 +227,11 @@ def limit_L(table: PartitionTable, d: int) -> int:
     d < p(n_max) - 1 so the maximum is attained inside the table, and
     p(1..n_max) ascending, as every built or loaded table is; one bisect
     reads it, unchecked, and a table out of order gives a wrong answer
-    (:func:`near_power_events` checks, once per sweep).
+    (:func:`near_power_events` checks, once per sweep).  The n_d family
+    makes the same two checks on d, in the same order, but never takes
+    the bisect: its runs already account for limit_L.
     """
-    if d < 0:
-        raise ValueError("d must be >= 0, got %d" % d)
-    if d >= table.values[table.n_max] - 1:
-        raise ValueError(
-            "d=%d is not below p(n_max) - 1; extend the table" % d
-        )
+    _check_decidable(table, d)
     # values[1:] is ascending and p(n) <= d + 1 iff p(n) - 1 <= d
     return bisect.bisect_right(table.values, d + 1, 1) - 1
 
@@ -262,7 +272,10 @@ class EventSet(NamedTuple):
     ``runs`` holds the maximal runs (d_lo, d_hi, N) with n_d constant,
     ascending and covering d = 0..min(d_cap, p(n_max) - 2): past
     p(n_max) - 2, limit_L over p(0..n_max) is undecided, and at n_max 1
-    that leaves no d at all, so no runs.  Every n_d query reads them.
+    that leaves no d at all, so no runs.  They are built once, from the
+    records of each k's events (see :func:`_event_set`), and every n_d
+    query is one bisect over their starts.  ``events`` stays complete:
+    every event, records or not, in (n, k) order.
     """
 
     table: PartitionTable
@@ -274,27 +287,54 @@ class EventSet(NamedTuple):
         return "EventSet(d_cap=%r, events=%r, runs=%r)" % (self.d_cap, self.events, self.runs)
 
 
-def _event_set(table: PartitionTable, d_cap: int, events: list) -> EventSet:
-    # An event (n, k, distance) applies at d exactly when distance <= d
-    # <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
-    # more than the largest k applying there, or 2.  So n_d can change
-    # only at an interval's start or one past its end, and one sweep over
-    # those points, with a max-heap of the applying k, yields the runs.
-    d_max = min(d_cap, table.values[table.n_max] - 2)
-    spans = sorted(
-        (e.distance, e.k, table.values[e.n] - 2)
-        for e in events
-        if e.distance <= min(d_max, table.values[e.n] - 2)
-    )
-    bounds = {0} | {c for start, _, last in spans for c in (start, last + 1)}
+def _event_set(
+    table: PartitionTable,
+    d_cap: int,
+    events: list[NearPowerEvent],
+    groups: Iterable[Sequence[NearPowerEvent]],
+) -> EventSet:
+    """The EventSet of ``events``, in (n, k) order, with its runs.
+
+    ``groups`` holds the same events split by k, each group ascending in
+    n.  An event (n, k, distance) applies at d exactly when distance <=
+    d <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is
+    one more than the largest k applying there, or 2.  Only the records
+    of k need reading: walking its events n descending, the events whose
+    distance is strictly below every distance at a larger n.  Any other
+    event has a record at a larger n with no larger distance, and p is
+    ascending, so its interval lies inside that record's.  Record j
+    covers [dist_j, min(p(n_j) - 2, d_max)]; both ends fall as n does,
+    so the covers of one k that touch merge in one pass.  n_d can change
+    only at a cover's start or one past its end, and one sweep over
+    those points, with a max-heap of the covering k, yields the runs.
+    """
+    values = table.values
+    d_max = min(d_cap, values[table.n_max] - 2)
+    covers = []  # (start, k, last), at most one per record
+    for group in groups:
+        best = None  # the smallest distance at a larger n
+        for n, k, dist in reversed(group):
+            if best is not None and dist >= best:
+                continue
+            best = dist
+            last = min(values[n] - 2, d_max)
+            if dist > last:
+                continue
+            if covers and covers[-1][1] == k and last + 1 >= covers[-1][0]:
+                covers[-1] = (dist, k, covers[-1][2])  # touches k's cover above
+            else:
+                covers.append((dist, k, last))
+    covers.sort()
+    bounds = {c for start, _, last in covers for c in (start, last + 1)}
+    bounds.add(0)
     cuts = sorted(c for c in bounds if c <= d_max)
     # heap of (-k, last d it applies at): the largest applying k on top
     applying: list[tuple[int, int]] = []
     out: list[tuple[int, int, int]] = []
     i = 0
     for j, lo in enumerate(cuts):
-        while i < len(spans) and spans[i][0] <= lo:
-            heapq.heappush(applying, (-spans[i][1], spans[i][2]))
+        while i < len(covers) and covers[i][0] <= lo:
+            heapq.heappush(applying, (-covers[i][1], covers[i][2]))
             i += 1
         while applying and applying[0][1] < lo:
             heapq.heappop(applying)
@@ -315,14 +355,17 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
     events: list[NearPowerEvent] = []
+    by_k: dict[int, list[NearPowerEvent]] = {}
     for n in range(2, table.n_max + 1):
         v = table.values[n]
         freeze = (2 * v - 1).bit_length()
         for k in range(2, freeze):
             dist = nearest_power_distance(v, k)[1]
             if dist <= d_cap:
-                events.append(NearPowerEvent(n=n, k=k, distance=dist))
-    return _event_set(table, d_cap, events)
+                event = NearPowerEvent(n=n, k=k, distance=dist)
+                events.append(event)
+                by_k.setdefault(k, []).append(event)
+    return _event_set(table, d_cap, events, by_k.values())
 
 
 # The float screen.  For v = p(n) with z = v^(1/k) < 2^b, b <= 40, the
@@ -432,9 +475,10 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
 
     Each n is examined at most once per k, so no d_cap costs more roots
     than the oracle (plus one per prime k for Y).  The result lists
-    events in (n, k) order, and one heap sweep over them gives its
-    ``runs``: n_d at every d <= min(d_cap, p(n_max) - 2), which the n_d
-    family then reads by bisection.
+    events in (n, k) order.  Its ``runs``, n_d at every d <= min(d_cap,
+    p(n_max) - 2), come from the records of each k's slice of the
+    sweep (:func:`_event_set`), and the n_d family reads them by
+    bisection.
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
@@ -471,8 +515,9 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
             if dist <= d_cap:
                 events.append(NearPowerEvent(n=n, k=k, distance=dist))
         spans[k] = (start, len(events))
+    groups = [events[lo:end] for lo, end in spans.values()]
     events.sort()  # per-k order to (n, k) order
-    return _event_set(table, d_cap, events)
+    return _event_set(table, d_cap, events, groups)
 
 
 def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> EventSet:
@@ -480,7 +525,7 @@ def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> E
     # decide costs no sweep: d, then the table edge, then a given set's
     # cap and the table it was swept on: this table object, checked in
     # O(1) per query, or else one with equal values.
-    limit_L(table, d)  # raises for d < 0 and where the table stops deciding
+    _check_decidable(table, d)
     if events is None:
         return near_power_events(table, d)
     if events.d_cap < d:
@@ -510,7 +555,7 @@ def _n_d_from_events(table: PartitionTable, d: int, events: EventSet) -> int:
 
 def _n_d_at(runs: Sequence[tuple[int, int, int]], d: int) -> int:
     # the N of the last run starting at or below d
-    return runs[bisect.bisect_left(runs, (d + 1,)) - 1][2]
+    return runs[bisect.bisect_right(runs, d, key=_RUN_START) - 1][2]
 
 
 def n_d(
@@ -526,9 +571,11 @@ def n_d(
     are exactly the recorded events; so N is one more than the largest
     event k at this d, or 2 when no event applies.  k at or above the
     freeze bound needs no check (see EventSet), which is what makes the
-    quantity finitely computable.  The answer is one bisect over the
-    event set's ``runs``, which cover d <= p(n_max) - 2.  Raises
-    ValueError for d >= p(n_max) - 1, where limit_L over p(0..n_max) is
+    quantity finitely computable.  Given a set, a query costs two
+    comparisons on d, the set's cap and table checks, and one bisect of
+    d over the starts of the event set's ``runs``, which cover d <=
+    p(n_max) - 2; limit_L is never taken.  Raises ValueError for d < 0
+    and for d >= p(n_max) - 1, where limit_L over p(0..n_max) is
     undecided, before any sweep.
     """
     return _n_d_at(_require_events(table, d, events).runs, d)

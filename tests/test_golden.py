@@ -33,6 +33,8 @@ CASES = [
     ("table4-json", ("table4", *N300, "--format", "json"), 0),
     ("table4-text", ("table4", *N300, "--format", "text"), 0),
     ("table4-check", ("table4", *N300, "--check"), 0),
+    # runs far past the published d = 2534: 56 runs, the last n_d 110
+    ("table4-large-cap", ("table4", "--n-max", "3000", "--d-max", "10^30", "--format", "csv"), 0),
     ("figure-data-text", (*FIGURE, "--format", "text"), 0),
     ("figure-data-csv", (*FIGURE, "--format", "csv"), 0),
     ("figure-data-json", (*FIGURE, "--format", "json"), 0),

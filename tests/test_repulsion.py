@@ -657,6 +657,28 @@ def test_n_d_family_reads_the_runs(case, data):
         )
 
 
+def test_n_d_family_never_takes_limit_L(monkeypatch):
+    # given a set, a query checks d with two comparisons and bisects the
+    # runs; limit_L, a bisect over the whole table, is never taken
+    table = cached_table(600)
+    events = near_power_events(table, 10**4)
+    ds = sorted({d for lo, up, _ in events.runs for d in (lo, up)})
+    want = {d: _n_d_from_events(table, d, events) for d in ds}
+    intervals = per_cut_intervals(table, 10**4, events)
+
+    def refused(*args):
+        raise AssertionError("limit_L called")
+
+    monkeypatch.setattr(partgap.repulsion, "limit_L", refused)
+    assert {d: n_d(table, d, events=events) for d in ds} == want
+    assert n_d_batch(table, ds, events=events) == want
+    assert n_d_intervals(table, 10**4, events=events) == intervals
+    with pytest.raises(ValueError, match="d must be >= 0, got -1"):
+        n_d(table, -1, events=events)
+    with pytest.raises(ValueError, match="not below p"):
+        n_d_intervals(table, table.p(600) - 1, events=events)
+
+
 def test_undecidable_d_rejected_before_any_sweep(monkeypatch):
     table = cached_table(600)
     sweeps = []
