@@ -19,12 +19,16 @@ bracket per value, lazily and in the order asked.  The record walk
 reads it over n = n_max..0, once per k and table.  The near-power
 event sweep runs k upward.  A composite k reads it only over the events
 of its largest proper divisor, since every k-th power is also a power
-of each divisor of k.  A prime k reads it over every n below the freeze
-bound when k is small, or, when k is large, over the few n whose p(n)
-lies near one of the k-th powers below p(n_max).  Where a k-th root of
-p(n_max) fits 40 bits, a prime k first screens each p(n) with a double,
-p(n)^(1/k) against the nearest integer, and brackets only the p(n) the
-screen cannot prove farther than the cap from every k-th power.
+of each divisor of k.  A prime k takes the first of three paths that
+applies.  Where the k-th powers up to p(n_max) number under a sixth of
+the n to test, it reads the kernel over the few n whose p(n) lies near
+one of them, which happens only where a k-th root of p(n_max) fits 40
+bits.  Otherwise, where that root fits 40 bits, it first screens each
+p(n) with a double, p(n)^(1/k) against the nearest integer, and
+brackets only the p(n) the screen cannot prove farther than the cap
+from every k-th power.  Otherwise, for the smallest k, it reads the
+kernel over every n below the freeze bound.  The sweep keeps each k's
+events apart, ascending in n, for the divisor path and the records.
 ``_near_power_events_oracle`` keeps one ``nearest_power_distance``
 call per pair, so the oracle stays independent of the kernel.  The work
 is paid once and shared by every table, figure, and N_d query built on
@@ -49,6 +53,7 @@ from .roots import _bracket, _power_neighbours, floor_kth_root, nearest_power_di
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
 _RUN_START = itemgetter(0)  # d_lo of a run (d_lo, d_hi, N)
+_N_DISTANCE = itemgetter(0, 2)  # (n, distance) of an event (n, k, distance)
 
 
 def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -61,19 +66,25 @@ def _distances(values: Sequence[int], k: int, ns: Iterable[int]) -> Iterator[tup
         yield n, min(v - power, upper - v)
 
 
-def _records(table: PartitionTable, k: int) -> Iterator[tuple[int, int]]:
-    # Walking n = n_max..0, yield (distance, n) at each new minimum distance.
-    # The largest n with distance <= d is always one of these records, so
-    # every threshold query is a bisect over all of them.  Distance 0 can
-    # fall no further, so the walk stops there; p(1) = 1^k guarantees it
-    # does by n = 1.
+def _minima(pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    # Over (n, distance) pairs in the order given, yield (distance, n) at
+    # each new strict minimum.  Distance 0 can fall no further, so it
+    # stops there.
     current = None
-    for n, dist in _distances(table.values, k, range(table.n_max, -1, -1)):
+    for n, dist in pairs:
         if current is None or dist < current:
             current = dist
             yield dist, n
             if dist == 0:
                 return
+
+
+def _records(table: PartitionTable, k: int) -> Iterator[tuple[int, int]]:
+    # The minima of k's distances over n = n_max..0.  The largest n with
+    # distance <= d is always one of these records, so every threshold
+    # query is a bisect over all of them; p(1) = 1^k ends the walk at
+    # distance 0 by n = 1.
+    return _minima(_distances(table.values, k, range(table.n_max, -1, -1)))
 
 
 def _walk(table: PartitionTable, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -288,35 +299,28 @@ class EventSet(NamedTuple):
 
 
 def _event_set(
-    table: PartitionTable,
-    d_cap: int,
-    events: list[NearPowerEvent],
-    groups: Iterable[Sequence[NearPowerEvent]],
+    table: PartitionTable, d_cap: int, by_k: dict[int, list[NearPowerEvent]]
 ) -> EventSet:
-    """The EventSet of ``events``, in (n, k) order, with its runs.
+    """The EventSet of the events in ``by_k``, each k's list ascending
+    in n, with its runs; ``events`` is their union in (n, k) order.
 
-    ``groups`` holds the same events split by k, each group ascending in
-    n.  An event (n, k, distance) applies at d exactly when distance <=
-    d <= p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is
-    one more than the largest k applying there, or 2.  Only the records
-    of k need reading: walking its events n descending, the events whose
-    distance is strictly below every distance at a larger n.  Any other
-    event has a record at a larger n with no larger distance, and p is
-    ascending, so its interval lies inside that record's.  Record j
-    covers [dist_j, min(p(n_j) - 2, d_max)]; both ends fall as n does,
-    so the covers of one k that touch merge in one pass.  n_d can change
-    only at a cover's start or one past its end, and one sweep over
-    those points, with a max-heap of the covering k, yields the runs.
+    An event (n, k, distance) applies at d exactly when distance <= d <=
+    p(n) - 2, since n > limit_L(d) means p(n) - 1 > d; n_d(d) is one
+    more than the largest k applying there, or 2.  Only the records of
+    k need reading: the minima of its events' distances, n descending
+    (:func:`_minima`, as a record walk reads them).  Any other event has
+    a record at a larger n with no larger distance, and p is ascending,
+    so its interval lies inside that record's.  Record j covers
+    [dist_j, min(p(n_j) - 2, d_max)]; both ends fall as n does, so the
+    covers of one k that touch merge in one pass.  n_d can change only
+    at a cover's start or one past its end, and one sweep over those
+    points, with a max-heap of the covering k, yields the runs.
     """
     values = table.values
     d_max = min(d_cap, values[table.n_max] - 2)
     covers = []  # (start, k, last), at most one per record
-    for group in groups:
-        best = None  # the smallest distance at a larger n
-        for n, k, dist in reversed(group):
-            if best is not None and dist >= best:
-                continue
-            best = dist
+    for k, group in by_k.items():
+        for dist, n in _minima(map(_N_DISTANCE, reversed(group))):
             last = min(values[n] - 2, d_max)
             if dist > last:
                 continue
@@ -344,6 +348,7 @@ def _event_set(
             out[-1] = (out[-1][0], upper, value)
         else:
             out.append((lo, upper, value))
+    events = sorted(e for group in by_k.values() for e in group)
     return EventSet(table, d_cap, tuple(events), tuple(out))
 
 
@@ -354,7 +359,6 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
-    events: list[NearPowerEvent] = []
     by_k: dict[int, list[NearPowerEvent]] = {}
     for n in range(2, table.n_max + 1):
         v = table.values[n]
@@ -362,10 +366,8 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
         for k in range(2, freeze):
             dist = nearest_power_distance(v, k)[1]
             if dist <= d_cap:
-                event = NearPowerEvent(n=n, k=k, distance=dist)
-                events.append(event)
-                by_k.setdefault(k, []).append(event)
-    return _event_set(table, d_cap, events, by_k.values())
+                by_k.setdefault(k, []).append(NearPowerEvent(n=n, k=k, distance=dist))
+    return _event_set(table, d_cap, by_k)
 
 
 # The float screen.  For v = p(n) with z = v^(1/k) < 2^b, b <= 40, the
@@ -406,8 +408,8 @@ _SCREEN_REL = 2.0 ** -46
 _SCREEN_WINDOW = 12
 # Listing one power y^k and bisecting for its window costs about as
 # much as screening six p(n) (1.2 against 0.2 us at n_max 3000 and
-# 25000), so the screen also takes the k whose bases number at least a
-# sixth of the suffix.
+# 25000), so the sweep lists only the k whose bases number under a
+# sixth of the suffix, and screens the others it can.
 _SCREEN_COST = 6
 
 
@@ -455,11 +457,13 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     floor((p(n_max) + d_cap)^(1/k)), and every path gives the oracle's
     events:
 
-    * the float screen, where p(n_max)^(1/k) is below 2^40 and Y is at
-      least a sixth of the suffix length (below);
-    * else, when Y is below the suffix length, list y^k for y = 1..Y,
-      bisect the suffix for p(n) within d_cap of each, and take exact
-      roots of those candidates only;
+    * when Y is below a sixth of the suffix length, list y^k for
+      y = 1..Y, bisect the suffix for p(n) within d_cap of each, and
+      take exact roots of those candidates only.  That happens only
+      where p(n_max)^(1/k) is below 2^40: elsewhere Y is at least 2^40,
+      more than any suffix;
+    * else, where p(n_max)^(1/k) is below 2^40, the float screen
+      (below);
     * else one exact root per p(n), as in
       :func:`_near_power_events_oracle`.
 
@@ -476,9 +480,8 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     Each n is examined at most once per k, so no d_cap costs more roots
     than the oracle (plus one per prime k for Y).  The result lists
     events in (n, k) order.  Its ``runs``, n_d at every d <= min(d_cap,
-    p(n_max) - 2), come from the records of each k's slice of the
-    sweep (:func:`_event_set`), and the n_d family reads them by
-    bisection.
+    p(n_max) - 2), come from the records of each k's events
+    (:func:`_event_set`), and the n_d family reads them by bisection.
     """
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
@@ -490,8 +493,7 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
             "the sweep needs p(1..n_max) ascending, but p(%d) < p(%d)" % (n, n - 1)
         )
     top = values[hi]
-    events: list[NearPowerEvent] = []
-    spans: dict[int, tuple[int, int]] = {}  # k -> its slice of events
+    by_k: dict[int, list[NearPowerEvent]] = {}  # k -> its events, ascending in n
     logs = [math.log2(v) for v in values[: hi + 1]]
     for k in range(2, stabilization_threshold(table)):
         # k < freeze bound (2 p(n) - 1).bit_length()  <=>  p(n) > 2^(k-1)
@@ -499,25 +501,21 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
         # k's largest proper divisor, k over its smallest prime factor
         a = next((k // p for p in range(2, math.isqrt(k) + 1) if k % p == 0), 1)
         if a > 1:
-            lo, end = spans[a]
-            candidates = [e.n for e in events[lo:end] if e.n >= first]
+            candidates = [e.n for e in by_k[a] if e.n >= first]
         else:
             bases = floor_kth_root(top + d_cap, k).root
             suffix = hi + 1 - first
-            if top.bit_length() <= _SCREEN_BITS * k and _SCREEN_COST * bases >= suffix:
-                candidates = _screened(values, logs, k, d_cap, first, hi)
-            elif bases < suffix:
+            if _SCREEN_COST * bases < suffix:
                 candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
+            elif top.bit_length() <= _SCREEN_BITS * k:
+                candidates = _screened(values, logs, k, d_cap, first, hi)
             else:
+                # p(n_max)^(1/k) >= 2^40, so bases >= 2^40 outnumber any
+                # suffix: the list test above never takes such a k
                 candidates = range(first, hi + 1)
-        start = len(events)
-        for n, dist in _distances(values, k, candidates):
-            if dist <= d_cap:
-                events.append(NearPowerEvent(n=n, k=k, distance=dist))
-        spans[k] = (start, len(events))
-    groups = [events[lo:end] for lo, end in spans.values()]
-    events.sort()  # per-k order to (n, k) order
-    return _event_set(table, d_cap, events, groups)
+        pairs = _distances(values, k, candidates)
+        by_k[k] = [NearPowerEvent(n, k, dist) for n, dist in pairs if dist <= d_cap]
+    return _event_set(table, d_cap, by_k)
 
 
 def _require_events(table: PartitionTable, d: int, events: EventSet | None) -> EventSet:

@@ -37,13 +37,17 @@ class KthRootResult(NamedTuple):
 
 
 def _bracket(v: int, k: int) -> tuple[int, int, int]:
-    # (r, r^k, (r+1)^k) with r the floor k-th root, for v >= 1 and k >= 2
+    # (r, r^k, upper) with r the floor k-th root, for v >= 1 and k >= 2:
+    # upper is (r+1)^k, except that at r = 1 it is at most 2^(bits+1),
+    # v < 2^bits.  That power is already farther from v than 1 is, so
+    # every distance read off the bracket is the same, and a huge k
+    # builds no 2^k.
     if k == 2:
         r = math.isqrt(v)
         return r, r * r, (r + 1) * (r + 1)
     if (bits := v.bit_length()) <= k:
         # 2^k > v means the root is 1
-        return 1, 1, 1 << k
+        return 1, 1, 1 << min(k, bits + 1)
     if bits <= 45 * k:
         # a root of at most 45 bits: the double is off by well under one
         r = int(2.0 ** (math.log2(v) / k))

@@ -30,7 +30,12 @@ from partgap.repulsion import (
     stabilization_threshold,
     threshold_rows,
 )
-from partgap.roots import _power_neighbours, floor_kth_root, nearest_power_distance
+from partgap.roots import (
+    _power_neighbours,
+    floor_kth_root,
+    nearest_power_distance,
+    prime_exponents_up_to,
+)
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
 
@@ -468,6 +473,38 @@ def test_composite_k_bracket_their_divisor_events(monkeypatch):
             composite += len(calls[k])
     assert composite == 645
     assert sum(map(len, calls.values())) <= 7410
+
+
+def primes_between(lo, hi):
+    return {k for k in prime_exponents_up_to(hi) if k >= lo}
+
+
+@pytest.mark.parametrize(
+    "n_max, per_pair, screened, listed",
+    (
+        (3000, (2, 3), (5, 19), (23, 181)),
+        (25000, (2, 13), (17, 47), (53, 563)),
+    ),
+)
+def test_each_prime_k_keeps_its_path(request, monkeypatch, n_max, per_pair, screened, listed):
+    # at d_cap 270343 the sweep roots every pair of the smallest prime k,
+    # screens the next ones and lists the powers of the rest, up to the
+    # largest prime below the freeze bound
+    table = cached_table(3000) if n_max == 3000 else request.getfixturevalue("table25k")
+    seen, listed_ks = screened_ks(monkeypatch), set()
+    neighbours = partgap.repulsion._power_neighbours
+
+    def listing(values, k, *rest):
+        listed_ks.add(k)
+        return neighbours(values, k, *rest)
+
+    monkeypatch.setattr(partgap.repulsion, "_power_neighbours", listing)
+    near_power_events(table, 270343)
+    primes = primes_between(2, stabilization_threshold(table) - 1)
+    assert set(seen) == primes_between(*screened)
+    assert listed_ks == primes_between(*listed)
+    assert primes - set(seen) - listed_ks == primes_between(*per_pair)
+    assert max(primes) == listed[1]
 
 
 def test_sweep_refuses_values_out_of_order():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,19 @@ def test_nearest_power_rejects_bad_args():
         nearest_power_distance(0, 2)
     with pytest.raises(ValueError):
         nearest_power_distance(5, 1)
+
+
+def test_huge_k_builds_no_kth_power():
+    # below 2^k the root is 1 and the distance v - 1; the bracket must
+    # not build 2^k to say so, which at k = 10^8 would take 12 MiB a copy
+    tracemalloc.start()
+    try:
+        assert nearest_power_distance(10, 10**8) == (1, 9)
+        assert floor_kth_root(10, 10**8) == (1, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @given(
