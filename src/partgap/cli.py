@@ -246,7 +246,15 @@ def cmd_s_check(args) -> int:
 # ------------------------------------------------------------ missed
 
 def cmd_missed(args) -> int:
-    for v in witnesses.missed_values(args.bound):
+    try:
+        values = witnesses.missed_values(args.bound)
+    except MemoryError:
+        raise ValueError(
+            "missed --bound %d ran out of memory: its sieve needs %d bytes,"
+            " and its list of missed values more"
+            % (args.bound, args.bound + 1)
+        ) from None
+    for v in values:
         print(v)
     return 0
 

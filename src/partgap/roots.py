@@ -14,12 +14,14 @@ own.
 Perfect-power detection screens before it roots.  A q-th power y^q is a
 q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
 0 (when l divides y) or one of the (l - 1)/q units x with
-x^((l-1)/q) = 1; modulo 64 and 45045 = 9*5*7*11*13 a square is one of
-the squares there.  A residue outside those sets proves v is not a q-th
+x^((l-1)/q) = 1; modulo 64, 63, 65 and 11 a square is one of the
+squares there.  A residue outside those sets proves v is not a q-th
 power, so only values that pass every screen get the exact root, and
 the screens can never change an answer, only skip roots that would have
-failed.  They are built lazily, per exponent, and stay small: a few
-residues per prime l, and the 12 squares modulo 64 and 2016 modulo 45045.
+failed.  An odd q takes primes l until a non-power passes them all with
+probability at most 1/10000, or eight of them; q = 2 passes about 1 in
+119 non-squares.  The screens are built lazily, per exponent, and stay
+small: at most a few dozen residues per modulus.
 """
 
 from __future__ import annotations
@@ -188,24 +190,44 @@ def _power_residues(q: int, m: int) -> frozenset[int]:
             return frozenset(residues)
 
 
+# An odd prime q is screened modulo primes l = 1 (mod q), ascending.
+# Modulo such an l the q-th powers are 0 and (l - 1)/q units, so a
+# value that is no q-th power passes with probability about
+# ((l - 1)/q + 1)/l, and by the CRT the moduli pass it independently.
+# Moduli are added until that product is at most 1/_SCREEN_TARGET, or
+# until there are _SCREEN_MODULI of them: q = 3 stops at the cap (8
+# moduli, 7..67, about 1/3200) and q = 5 at the target (7 moduli,
+# 11..131).  Each modulus costs one residue of a survivor and saves most
+# of the exact roots: at n_max 25000 the scan takes 397, where two
+# moduli per odd q would leave 8,992.
+_SCREEN_TARGET = 10_000
+_SCREEN_MODULI = 8
+
+
 @functools.cache
 def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     """(modulus, q-th-power residues) pairs that every q-th power passes.
 
-    q = 2 uses 64 and 45045 = 9*5*7*11*13, which a non-square passes
-    with probability about 1/120; an odd prime q uses the two smallest
-    primes m = 1 (mod q), where a non-power passes each with probability
-    about 1/q.
+    q = 2 uses 64, 63 = 9*7, 65 = 5*13 and 11, which a non-square
+    passes with probability about 1/119: the prime powers of
+    45045 = 9*5*7*11*13, so the same rate by the CRT, from 104 squarings
+    where 45045 itself takes 22,523.  An odd prime q uses the primes
+    l = 1 (mod q), ascending, until the pass rates ((l - 1)/q + 1)/l
+    multiply to at most 1/_SCREEN_TARGET or there are _SCREEN_MODULI
+    of them.
     """
     if q == 2:
-        moduli = [64, 45045]
+        moduli = [64, 63, 65, 11]
     else:
         moduli = []
+        passed, total = 1, 1  # the product of the pass rates, passed/total
         m = 1
-        while len(moduli) < 2:
+        while len(moduli) < _SCREEN_MODULI and passed * _SCREEN_TARGET > total:
             m += 2 * q  # m stays odd and = 1 (mod q)
             if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
                 moduli.append(m)
+                passed *= (m - 1) // q + 1
+                total *= m
     return tuple((m, _power_residues(q, m)) for m in moduli)
 
 
@@ -217,12 +239,13 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     smallest prime exponent found.
 
     Each prime exponent q is screened before its root is taken: v must
-    be a square modulo 64 and 45045 (q = 2), or a q-th-power residue
-    modulo the two smallest primes l = 1 (mod q), residue 0 included.
-    Every q-th power passes, so a rejected q could not have given an
-    exact root; the answer is the one :func:`_is_perfect_power_oracle`
-    gives, with fewer than one exact root per value on average instead
-    of one per prime up to bit_length(v).
+    be a square modulo 64, 63, 65 and 11 (q = 2), or a q-th-power
+    residue, 0 included, modulo each prime l = 1 (mod q) that
+    :func:`_screens` picks for q (up to eight of the smallest).  Every
+    q-th power passes, so a rejected q could not have given an exact
+    root; the answer is the one :func:`_is_perfect_power_oracle` gives,
+    with far fewer than one exact root per value on average instead of
+    one per prime up to bit_length(v).
     """
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)

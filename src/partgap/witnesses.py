@@ -46,8 +46,8 @@ by value.
 
 On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
 (``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000),
-p(2..25000) and p(2..100000) 0.018-0.027, 0.11-0.17 and 1.1-1.5 s
-(``BENCH_powerlist.json``).
+p(2..25000) and p(2..100000) 0.010-0.017, 0.09-0.13 and 0.84-0.95 s,
+with 124 and 397 exact roots at the first two (``BENCH_screens.json``).
 """
 
 from __future__ import annotations
@@ -79,11 +79,13 @@ PRIMES_UNDER_100 = (
 
 BUNDLED_LIST_NAME = "exceptional_tuples.txt"
 
-# Listing one y^q and bisecting the open values for it takes 1.2-1.5 us,
+# Listing one y^q and bisecting the open values for it takes 1.1-1.7 us,
 # screening one open p(n), its share of the survivors' exact roots
-# included, 0.11-0.17 us (at n_max 6000 and 25000, for the q where the
-# two paths cost about the same): about ten to one, so the scan lists
-# the q whose bases number below a tenth of the open n.
+# included, 0.10-0.20 us (at n_max 6000 and 25000, for q = 17..67, where
+# the two paths cost about the same): about ten to one, so the scan lists
+# the q whose bases number below a tenth of the open n.  The later screen
+# moduli of an odd q barely move the ratio: at these q almost no value
+# outlives the first two.
 _LIST_COST = 10
 
 

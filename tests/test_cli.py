@@ -665,6 +665,31 @@ def test_cli_import_loads_stdlib_only():
     assert done.stdout.split() == ["partgap"]
 
 
+def test_missed_past_memory_exits_2():
+    # the sieve of 10^10 needs 10^10 + 1 bytes; the 1 GB address-space
+    # limit is set in the child alone
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(partgap.partitions.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "partgap", "missed", "--bound", "10000000000"],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2,
+        "",
+        "error: missed --bound 10000000000 ran out of memory: its sieve needs"
+        " 10000000001 bytes, and its list of missed values more\n",
+    )
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "unknown-command")[0] == 2
     assert run(capsys, "pn")[0] == 2

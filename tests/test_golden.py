@@ -1,4 +1,5 @@
-"""Full stdout and exit status of every table command, byte for byte.
+"""Full stdout and exit status, byte for byte, of every table command
+and of the two scan commands `sun-scan` and `s-check`.
 
 The files in ``golden/`` hold the output of the commands below as the
 CLI printed it when they were frozen.  Change one only together with an
@@ -40,6 +41,10 @@ CASES = [
     ("figure-data-json", (*FIGURE, "--format", "json"), 0),
     # n_max 300 cannot reach the published series past d = 10^6
     ("figure-data-check", ("figure-data", *N300, "--k", "2,50", "--check"), 1),
+    # the screens decide which values get an exact root, never the output
+    ("sun-scan", ("sun-scan", "--n-max", "3000"), 0),
+    # 42 of p(0..60) have no witness, so the status is 1
+    ("s-check", ("s-check", "--range", "0", "60"), 1),
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partgap.roots import (
+    _SCREEN_MODULI,
+    _SCREEN_TARGET,
     _is_perfect_power_oracle,
     _power_neighbours,
     _screens,
@@ -245,17 +248,38 @@ def test_floor_root_float_edge():
             assert got.exact == (got.root**k == v)
 
 
+def is_prime(m):
+    return m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+
+KNOWN_MODULI = {
+    2: [64, 63, 65, 11],  # 64 and the prime powers of 45045 = 9*5*7*11*13
+    3: [7, 13, 19, 31, 37, 43, 61, 67],  # stopped by the cap
+    5: [11, 31, 41, 61, 71, 101, 131],  # stopped by the target
+}
+
+
 @pytest.mark.parametrize("q", PRIMES_TO_200)
 def test_screen_residues_are_exactly_the_powers(q):
     # sound: every x^q mod m is accepted; tight: nothing else is
     screens = _screens(q)
-    assert len(screens) == 2
     for m, residues in screens:
-        if q == 2:
-            assert m in (64, 45045)
-        else:
-            assert m % q == 1 and all(m % f for f in range(2, m))
         assert residues == frozenset(pow(x, q, m) for x in range(m))
+    moduli = [m for m, _ in screens]
+    assert moduli == KNOWN_MODULI.get(q, moduli)
+    if q == 2:
+        return
+    # the smallest primes = 1 (mod q), ascending, with no gap
+    assert moduli == [m for m in range(q + 1, moduli[-1] + 1) if m % q == 1 and is_prime(m)]
+
+    def met(count):
+        # the pass rates of the first count moduli multiply to at most
+        # 1/_SCREEN_TARGET, or count reached the cap
+        passed = math.prod((m - 1) // q + 1 for m in moduli[:count])
+        return count == _SCREEN_MODULI or passed * _SCREEN_TARGET <= math.prod(moduli[:count])
+
+    assert met(len(moduli))
+    assert not any(met(count) for count in range(len(moduli)))
 
 
 @given(
@@ -273,23 +297,40 @@ def test_screened_power_test_matches_oracle_near_powers(y, q, step):
 
 
 @given(
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.integers(min_value=2, max_value=10**6),
+    st.integers(min_value=1, max_value=10**12),
+)
+@settings(max_examples=300, deadline=None)
+def test_screened_power_test_matches_oracle_past_the_first_two_moduli(q, y, j):
+    # v = y^q modulo q's first two moduli, so only the later ones can
+    # reject it
+    (m1, _), (m2, _) = _screens(q)[:2]
+    v = y**q + m1 * m2 * j
+    assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+
+
+@given(
     st.sampled_from(PRIMES_TO_200),
-    st.integers(min_value=0, max_value=1),
+    st.data(),
     st.integers(min_value=1, max_value=10**30),
     st.integers(min_value=1, max_value=20),
 )
 @settings(max_examples=300, deadline=None)
-def test_screened_power_test_matches_oracle_at_residue_zero(q, which, c, e):
+def test_screened_power_test_matches_oracle_at_residue_zero(q, data, c, e):
     # multiples and powers of a screen modulus have residue 0 there
-    m = _screens(q)[which][0]
+    screens = _screens(q)
+    m = screens[data.draw(st.integers(min_value=0, max_value=len(screens) - 1))][0]
     for v in (m * c, (m * c) ** e, (m * c) ** q):
         assert v % m == 0
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
 
 
 def test_screened_power_test_below_the_modulus():
-    # every v below the largest screen modulus of the small exponents
-    top = max(m for q in prime_exponents_up_to(40) for m, _ in _screens(q))
+    # every v below the largest screen modulus of the small exponents,
+    # and at least below 45045, whose residues the q = 2 moduli 63, 65
+    # and 11 split by the CRT
+    top = max(45045, *(m for q in prime_exponents_up_to(40) for m, _ in _screens(q)))
     for v in range(0, top):
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
 

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import partgap.witnesses
 from partgap.partitions import PartitionTable, build_table
-from partgap.roots import PowerWitness, _is_perfect_power_oracle, _power_neighbours
+from partgap.roots import (
+    PowerWitness,
+    _is_perfect_power_oracle,
+    _power_neighbours,
+    floor_kth_root,
+)
 from partgap.witnesses import (
     PRIMES_UNDER_100,
     CoverageWitness,
@@ -396,3 +401,17 @@ def test_listing_scan_matches_oracle(monkeypatch):
     assert hits == want
     assert {w for n, w in hits if table.values[n] == 2**122} == {PowerWitness(2**61, 2)}
     assert {61, 67, 97, 101} <= set(listed) and 2 not in listed
+
+
+def test_power_scan_roots_few_values(monkeypatch):
+    # the screens leave almost only true powers: at n_max 6000 two
+    # moduli per odd q left 2,233 exact roots, and 124 remain
+    calls = []
+
+    def counted(v, k):
+        calls.append(k)
+        return floor_kth_root(v, k)
+
+    monkeypatch.setattr(partgap.witnesses, "floor_kth_root", counted)
+    assert perfect_power_scan(build_table(6000)) == []
+    assert len(calls) <= 200
