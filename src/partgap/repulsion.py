@@ -19,16 +19,16 @@ bracket per value, lazily and in the order asked.  The record walk
 reads it over n = n_max..0, once per k and table.  The near-power
 event sweep runs k upward.  A composite k reads it only over the events
 of its largest proper divisor, since every k-th power is also a power
-of each divisor of k.  A prime k takes the first of three paths that
-applies.  Where the k-th powers up to p(n_max) number under a sixth of
-the n to test, it reads the kernel over the few n whose p(n) lies near
-one of them, which happens only where a k-th root of p(n_max) fits 40
-bits.  Otherwise, where that root fits 40 bits, it first screens each
-p(n) with a double, p(n)^(1/k) against the nearest integer, and
-brackets only the p(n) the screen cannot prove farther than the cap
-from every k-th power.  Otherwise, for the smallest k, it reads the
-kernel over every n below the freeze bound.  The sweep keeps each k's
-events apart, ascending in n, for the divisor path and the records.
+of each divisor of k.  A prime k takes one of two paths.  Where the
+k-th powers up to p(n_max) number under a sixth of the n to test, it
+reads the kernel over the few n whose p(n) lies near one of them.
+Otherwise it reads the kernel over the n that ``_screened`` cannot
+prove farther than the cap from every k-th power: below a cut only
+the few smallest powers can be near, from there to 2^(40k) a double
+screens p(n)^(1/k) against the nearest integer, and past both an
+exact near test takes one root of p(n) plus the cap.  The sweep keeps
+each k's events apart, ascending in n, for the divisor path and the
+records.
 ``_near_power_events_oracle`` keeps one ``nearest_power_distance``
 call per pair, so the oracle stays independent of the kernel.  The work
 is paid once and shared by every table, figure, and N_d query built on
@@ -400,7 +400,7 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
 # doubles) and tol and 1 - tol (sums of powers of two spanning under 53
 # bits) are exact, so the test drops an n only when its distance
 # provably exceeds d_cap.  Below the cut (p(n) < B^k) the window is too
-# wide for the screen to pay, and those n go to the exact bracket.  The
+# wide for the screen to pay, and _screened lists or passes those n.  The
 # choice of w only trades those n against the screen's survivors: 2^-12
 # brackets the fewest at n_max 3000 and 25000 with d_cap 270343.
 _SCREEN_BITS = 40
@@ -423,18 +423,44 @@ def _screen_base(k: int, d_cap: int) -> int:
 def _screened(
     values: Sequence[int], logs: Sequence[float], k: int, d_cap: int, lo: int, hi: int
 ) -> list[int]:
-    # The n in lo..hi, ascending, that the float screen cannot prove more
-    # than d_cap from every k-th power (see above), for p(hi)^(1/k) below
-    # 2^_SCREEN_BITS; logs[n] is math.log2(values[n]).
-    bits = -(-values[hi].bit_length() // k)  # p(n)^(1/k) < 2^bits
-    cut = bisect.bisect_left(values, _screen_base(k, d_cap) ** k, lo, hi + 1)
+    """The n in lo..hi, ascending, that may lie within d_cap of a k-th
+    power: a superset of those that do.  logs[n] is math.log2(values[n]).
+
+    B = :func:`_screen_base` (k, d_cap) splits the range in three:
+
+    * Below the cut B^k, no base y > B is within d_cap of p(n): then
+      y^k - p(n) > (B+1)^k - B^k >= k (B-1)^(k-1) >= 2^12 d_cap, which
+      exceeds d_cap, and is above 0 when d_cap = 0.  Listing y = 1..B
+      (:func:`partgap.roots._power_neighbours`) costs less than
+      bracketing the n there once B is below their number; otherwise
+      every n there is a candidate.
+    * From B^k to 2^(40k), the float screen above drops what it can.
+    * Past both, k-th powers lie at least 2^12 d_cap apart, so few n
+      pass an exact near test: a k-th power lies in
+      [p(n) - d_cap, p(n) + d_cap] exactly when the floor root r of
+      p(n) + d_cap has r^k >= p(n) - d_cap.  That is one root and one
+      power, and no distance.
+    """
+    base = _screen_base(k, d_cap)
+    cut = bisect.bisect_left(values, base ** k, lo, hi + 1)
+    switch = bisect.bisect_left(values, 1 << (_SCREEN_BITS * k), cut, hi + 1)
+    if base < cut - lo:
+        candidates = list(_power_neighbours(values, k, d_cap, lo, cut - 1, base))
+    else:
+        candidates = list(range(lo, cut))
+    # p(n)^(1/k) < 2^bits <= 2^40 for every n below the switch
+    bits = -(-values[switch - 1].bit_length() // k)
     tol = _SCREEN_REL * 2.0 ** bits + 2.0 ** -_SCREEN_WINDOW
     far = 1.0 - tol
-    return list(range(lo, cut)) + [
+    candidates += [
         n
-        for n, log in zip(range(cut, hi + 1), logs[cut : hi + 1])
+        for n, log in zip(range(cut, switch), logs[cut:switch])
         if not tol < 2.0 ** (log / k) % 1.0 < far
     ]
+    candidates += [
+        n for n in range(switch, hi + 1) if _bracket(values[n] + d_cap, k)[1] >= values[n] - d_cap
+    ]
+    return candidates
 
 
 def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
@@ -452,33 +478,34 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     nearest k-th power, and every event at k is an event at a, which the
     ascending sweep has already found over a suffix holding k's.
 
-    A prime k takes one of three paths.  A p(n) within d_cap of a k-th
+    A prime k takes one of two paths.  A p(n) within d_cap of a k-th
     power is within d_cap of some y^k with 1 <= y <= Y =
-    floor((p(n_max) + d_cap)^(1/k)), and every path gives the oracle's
+    floor((p(n_max) + d_cap)^(1/k)), and both paths give the oracle's
     events:
 
     * when Y is below a sixth of the suffix length, list y^k for
       y = 1..Y, bisect the suffix for p(n) within d_cap of each, and
-      take exact roots of those candidates only.  That happens only
-      where p(n_max)^(1/k) is below 2^40: elsewhere Y is at least 2^40,
-      more than any suffix;
-    * else, where p(n_max)^(1/k) is below 2^40, the float screen
-      (below);
-    * else one exact root per p(n), as in
-      :func:`_near_power_events_oracle`.
+      take exact roots of those candidates only;
+    * else :func:`_screened` picks the candidates over the whole
+      suffix, and only they get the exact bracket.  Below a cut B^k,
+      past which k-th powers lie more than 2^12 d_cap apart, only bases
+      y <= B can be near: it lists those when they are fewer than the n
+      there, and passes every n there otherwise.  From B^k to 2^(40k)
+      it runs the float screen.  Past both it takes an exact near test,
+      one root of p(n) + d_cap and one power, and keeps the few n with
+      a k-th power in [p(n) - d_cap, p(n) + d_cap].
 
     The screen takes L(n) = math.log2(p(n)) once per n and, per k, the
     double x = 2^(L(n)/k).  Its error, derived from the roundings of
-    log2, the division and the power, is below 2^-46 relative.  Past a
-    cut, every base y with y^k within d_cap of p(n) lies within 2^-12 of
-    p(n)^(1/k), so an n whose x is farther from every integer than both
-    bounds together is provably more than d_cap from every k-th power
-    and is dropped; every other n, and every n below the cut, gets the
-    exact bracket.  So the screen only skips pairs that could not be
-    events.
+    log2, the division and the power, is below 2^-46 relative.  Past
+    the cut, every base y with y^k within d_cap of p(n) lies within
+    2^-12 of p(n)^(1/k), so an n whose x is farther from every integer
+    than both bounds together is provably more than d_cap from every
+    k-th power and is dropped.  So no path drops a pair that could be
+    an event.
 
-    Each n is examined at most once per k, so no d_cap costs more roots
-    than the oracle (plus one per prime k for Y).  The result lists
+    Each n takes at most one root per k, and a second only where its
+    near test finds a k-th power within d_cap.  The result lists
     events in (n, k) order.  Its ``runs``, n_d at every d <= min(d_cap,
     p(n_max) - 2), come from the records of each k's events
     (:func:`_event_set`), and the n_d family reads them by bisection.
@@ -507,12 +534,8 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
             suffix = hi + 1 - first
             if _SCREEN_COST * bases < suffix:
                 candidates = _power_neighbours(values, k, d_cap, first, hi, bases)
-            elif top.bit_length() <= _SCREEN_BITS * k:
-                candidates = _screened(values, logs, k, d_cap, first, hi)
             else:
-                # p(n_max)^(1/k) >= 2^40, so bases >= 2^40 outnumber any
-                # suffix: the list test above never takes such a k
-                candidates = range(first, hi + 1)
+                candidates = _screened(values, logs, k, d_cap, first, hi)
         pairs = _distances(values, k, candidates)
         by_k[k] = [NearPowerEvent(n, k, dist) for n, dist in pairs if dist <= d_cap]
     return _event_set(table, d_cap, by_k)

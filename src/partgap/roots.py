@@ -5,23 +5,24 @@ All arithmetic is on arbitrary-precision ints; floats only ever seed a
 root and every candidate is corrected against the exact bracket
 r^k <= v < (r+1)^k.  A root of at most 45 bits (v below 2^(45k), which
 covers every v below 2^53 once k >= 3) is seeded straight from a
-double, which lands within one of it; only larger roots run Newton's
-iteration first.  One routine takes that bracket and keeps both powers:
-floor_kth_root reads exactness off r^k, and nearest_power_distance
-reads the distance off r^k and (r+1)^k without taking a power of its
-own.
+double, which lands within one of it; a larger root takes the few
+Newton steps that the double's error bound needs first.  One routine
+takes that bracket and keeps both powers: floor_kth_root reads
+exactness off r^k, and nearest_power_distance reads the distance off
+r^k and (r+1)^k without taking a power of its own.
 
 Perfect-power detection screens before it roots.  A q-th power y^q is a
 q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
 0 (when l divides y) or one of the (l - 1)/q units x with
-x^((l-1)/q) = 1; modulo 64, 63, 65 and 11 a square is one of the
-squares there.  A residue outside those sets proves v is not a q-th
-power, so only values that pass every screen get the exact root, and
-the screens can never change an answer, only skip roots that would have
-failed.  An odd q takes primes l until a non-power passes them all with
-probability at most 1/10000, or eight of them; q = 2 passes about 1 in
-119 non-squares.  The screens are built lazily, per exponent, and stay
-small: at most a few dozen residues per modulus.
+x^((l-1)/q) = 1; modulo 64, 63, 65, 11 and odd primes from 17 a square
+is one of the squares there.  A residue outside those sets proves v is
+not a q-th power, so only values that pass every screen get the exact
+root, and the screens can never change an answer, only skip roots that
+would have failed.  Each q takes moduli until a non-power passes them
+all with probability at most 1/10000, or eight of them; q = 2 stops at
+eight and passes about 1 in 1,585 non-squares.  The screens are built
+lazily, per exponent, and stay small: at most a few dozen residues per
+modulus.
 """
 
 from __future__ import annotations
@@ -38,6 +39,24 @@ class KthRootResult(NamedTuple):
     exact: bool
 
 
+# Newton from the double.  For a root z = v^(1/k) of t bits, 45 < t <=
+# 1024, the double x = 2.0 ** (math.log2(v) / k) is off from z by under
+# (ln 2 (1.5 t + 1) + 1) 2^-52 relative, by the rounding argument of
+# repulsion's float screen: below 1067 * 2^-52 < 2^-41.9, and int(x)
+# truncates under 2^-45 more.  So r = int(x) has relative error
+# |e| < 2^-good with good = _SEED_BITS.  One integer step
+# r -> ((k-1) r + v // r^(k-1)) // k lands at or above floor(z), by
+# AM-GM on k-1 copies of r and v / r^(k-1), and at most
+# (k-1)/2 e^2 (1 - |e|)^(-k-1) < k e^2 relative above z, as
+# (1 - |e|)^(-k-1) < 2 for any k < 2^40; below z it is off by under one.  So each
+# step squares the error and loses at most k.bit_length() > log2 k
+# bits.  With t = ceil(bits / k), z < 2^t, so once good >= t,
+# r - z < 1: r is floor(z) or one more, and no step confirms it.  A root
+# of 2^1024 or more overflows the double and descends from 2^t
+# instead, until a step stops falling.
+_SEED_BITS = 41
+
+
 def _bracket(v: int, k: int) -> tuple[int, int, int]:
     # (r, r^k, upper) with r the floor k-th root, for v >= 1 and k >= 2:
     # upper is (r+1)^k, except that at r = 1 it is at most 2^(bits+1),
@@ -50,18 +69,21 @@ def _bracket(v: int, k: int) -> tuple[int, int, int]:
     if (bits := v.bit_length()) <= k:
         # 2^k > v means the root is 1
         return 1, 1, 1 << min(k, bits + 1)
-    if bits <= 45 * k:
-        # a root of at most 45 bits: the double is off by well under one
+    try:
+        # off by well under one for a root of at most 45 bits
         r = int(2.0 ** (math.log2(v) / k))
-    else:
-        try:
-            # inflated to land at or above the root, so Newton descends
-            r = int(2.0 ** (math.log2(v) / k) * (1.0 + 1e-9)) + 1
-        except OverflowError:
-            r = 1 << -(-bits // k)  # 2^ceil(bits/k) > the root
+    except OverflowError:
+        r = 1 << -(-bits // k)  # 2^ceil(bits/k) > the root: Newton descends
         while (s := ((k - 1) * r + v // r ** (k - 1)) // k) < r:
             r = s
-    # the float root or Newton is off by at most a few steps; make it exact
+    else:
+        if bits > 45 * k:
+            # a larger root: the Newton steps its error bound needs (see above)
+            good = _SEED_BITS
+            while good * k < bits:
+                r = ((k - 1) * r + v // r ** (k - 1)) // k
+                good = 2 * good - k.bit_length()
+    # the float root or Newton is off by at most one step; make it exact
     power = r ** k
     while power > v:
         r -= 1
@@ -83,9 +105,11 @@ def floor_kth_root(v: int, k: int) -> KthRootResult:
     it, a fraction of one: its floor goes straight to the exact
     correction loops, which step r down while r^k > v and up while
     (r+1)^k <= v.  Larger roots run Newton's method on integers first,
-    seeded from the same double inflated by 1e-9 relative, so the seed
-    lies at or above the root and the descent is monotone (from the
-    bit-length bound 2^ceil(bits/k) when the root overflows a double).
+    from the same double, off by under 2^-41 relative: each step squares
+    that error less log2 k bits, and the steps stop once it is below one
+    unit of the root, so r is the floor root or one more and no step
+    confirms it.  A root past the double range descends from the
+    bit-length bound 2^ceil(bits/k) instead, until a step stops falling.
     The answer never rests on the float: the loops always end at
     r^k <= v < (r+1)^k, holding both powers.
     """
@@ -190,16 +214,18 @@ def _power_residues(q: int, m: int) -> frozenset[int]:
             return frozenset(residues)
 
 
-# An odd prime q is screened modulo primes l = 1 (mod q), ascending.
+# An odd prime q is screened modulo primes l = 1 (mod q), ascending,
+# and q = 2 modulo the odd primes from 17 after its first four moduli.
 # Modulo such an l the q-th powers are 0 and (l - 1)/q units, so a
 # value that is no q-th power passes with probability about
 # ((l - 1)/q + 1)/l, and by the CRT the moduli pass it independently.
 # Moduli are added until that product is at most 1/_SCREEN_TARGET, or
-# until there are _SCREEN_MODULI of them: q = 3 stops at the cap (8
-# moduli, 7..67, about 1/3200) and q = 5 at the target (7 moduli,
-# 11..131).  Each modulus costs one residue of a survivor and saves most
-# of the exact roots: at n_max 25000 the scan takes 397, where two
-# moduli per odd q would leave 8,992.
+# until there are _SCREEN_MODULI of them: q = 2 and 3 stop at the cap
+# (q = 2 at 29, about 1/1585; q = 3 at 7..67, about 1/3200) and q = 5 at
+# the target (7 moduli, 11..131).  Each modulus costs one residue of a
+# survivor and saves most of the exact roots: at n_max 25000 the scan
+# takes 151, where four moduli for q = 2 left 397 and two per odd q
+# 8,992.
 _SCREEN_TARGET = 10_000
 _SCREEN_MODULI = 8
 
@@ -208,26 +234,27 @@ _SCREEN_MODULI = 8
 def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     """(modulus, q-th-power residues) pairs that every q-th power passes.
 
-    q = 2 uses 64, 63 = 9*7, 65 = 5*13 and 11, which a non-square
+    q = 2 starts from 64, 63 = 9*7, 65 = 5*13 and 11, which a non-square
     passes with probability about 1/119: the prime powers of
     45045 = 9*5*7*11*13, so the same rate by the CRT, from 104 squarings
-    where 45045 itself takes 22,523.  An odd prime q uses the primes
-    l = 1 (mod q), ascending, until the pass rates ((l - 1)/q + 1)/l
-    multiply to at most 1/_SCREEN_TARGET or there are _SCREEN_MODULI
-    of them.
+    where 45045 itself takes 22,523.  It goes on with the odd primes
+    from 17, as an odd prime q goes on with the primes l = 1 (mod q)
+    from the smallest: moduli are added, ascending, until their pass
+    rates multiply to at most 1/_SCREEN_TARGET or there are
+    _SCREEN_MODULI of them.  A prime l passes (l - 1)/q + 1 of its l
+    residues.  So q = 2 screens modulo 64, 63, 65, 11, 17, 19, 23 and
+    29, and passes about 1 non-square in 1,585.
     """
-    if q == 2:
-        moduli = [64, 63, 65, 11]
-    else:
-        moduli = []
-        passed, total = 1, 1  # the product of the pass rates, passed/total
-        m = 1
-        while len(moduli) < _SCREEN_MODULI and passed * _SCREEN_TARGET > total:
-            m += 2 * q  # m stays odd and = 1 (mod q)
-            if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
-                moduli.append(m)
-                passed *= (m - 1) // q + 1
-                total *= m
+    moduli, m, step = ([64, 63, 65, 11], 15, 2) if q == 2 else ([], 1, 2 * q)
+    # the product of the pass rates, passed/total
+    passed = math.prod(len(_power_residues(q, first)) for first in moduli)
+    total = math.prod(moduli)
+    while len(moduli) < _SCREEN_MODULI and passed * _SCREEN_TARGET > total:
+        m += step  # m stays odd, and = 1 (mod q) for an odd q
+        if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
+            moduli.append(m)
+            passed *= (m - 1) // q + 1
+            total *= m
     return tuple((m, _power_residues(q, m)) for m in moduli)
 
 
@@ -239,9 +266,9 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     smallest prime exponent found.
 
     Each prime exponent q is screened before its root is taken: v must
-    be a square modulo 64, 63, 65 and 11 (q = 2), or a q-th-power
-    residue, 0 included, modulo each prime l = 1 (mod q) that
-    :func:`_screens` picks for q (up to eight of the smallest).  Every
+    be a square modulo 64, 63, 65, 11, 17, 19, 23 and 29 (q = 2), or a
+    q-th-power residue, 0 included, modulo each prime l = 1 (mod q)
+    that :func:`_screens` picks for q (up to eight of the smallest).  Every
     q-th power passes, so a rejected q could not have given an exact
     root; the answer is the one :func:`_is_perfect_power_oracle` gives,
     with far fewer than one exact root per value on average instead of

@@ -46,8 +46,9 @@ by value.
 
 On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
 (``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000),
-p(2..25000) and p(2..100000) 0.010-0.017, 0.09-0.13 and 0.84-0.95 s,
-with 124 and 397 exact roots at the first two (``BENCH_screens.json``).
+p(2..25000) and p(2..100000) 0.010-0.017, 0.09-0.13 and 0.84-0.95 s
+(``BENCH_screens.json``).  With eight moduli for q = 2 the first two
+take 63 and 151 exact roots (``BENCH_near.json``).
 """
 
 from __future__ import annotations

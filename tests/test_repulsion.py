@@ -1,3 +1,4 @@
+import bisect
 import collections
 import fractions
 import functools
@@ -374,19 +375,59 @@ def screened_ks(monkeypatch):
     return seen
 
 
+def sweep_work(monkeypatch):
+    # per k, the root brackets the sweep takes and the distances it reads
+    # off brackets; the brackets beyond the distances are near tests
+    brackets, distances = collections.Counter(), collections.Counter()
+    bracket, kernel = partgap.repulsion._bracket, partgap.repulsion._distances
+
+    def counted(v, k):
+        brackets[k] += 1
+        return bracket(v, k)
+
+    def read(values, k, ns):
+        for pair in kernel(values, k, ns):
+            distances[k] += 1
+            yield pair
+
+    monkeypatch.setattr(partgap.repulsion, "_bracket", counted)
+    monkeypatch.setattr(partgap.repulsion, "_distances", read)
+    return brackets, distances
+
+
+def listings(monkeypatch):
+    # (k, bases) of every list of powers y^k, y = 1..bases, the sweep makes
+    listed = []
+    neighbours = partgap.repulsion._power_neighbours
+
+    def listing(values, k, d_cap, lo, hi, bases):
+        listed.append((k, bases))
+        return neighbours(values, k, d_cap, lo, hi, bases)
+
+    monkeypatch.setattr(partgap.repulsion, "_power_neighbours", listing)
+    return listed
+
+
 @pytest.mark.parametrize("k", (3, 7))
 @pytest.mark.parametrize("d_cap", (0, 1, 270343))
 def test_screen_at_the_40_bit_switch(monkeypatch, k, d_cap):
-    # roots just below 2^40 are screened with the widest tolerance; a
-    # table reaching a root of 2^40 is not screened for that k at all
+    # roots just below 2^40 are screened with the widest tolerance and
+    # take no near test; from a root of 2^40 on, each p(n) takes one
+    # exact near test in the same _screened call instead
     seen = screened_ks(monkeypatch)
+    brackets, distances = sweep_work(monkeypatch)
     below = power_table(k, range(2**40 - 8, 2**40), d_cap)
     across = power_table(k, (2**40 - 1, 2**40, 2**40 + 1), d_cap)
-    for table, screened in ((below, True), (across, False)):
+    for table, crosses in ((below, False), (across, True)):
         seen.clear()
+        brackets.clear()
+        distances.clear()
         events = near_power_events(table, d_cap)
         assert events == _near_power_events_oracle(table, d_cap)
-        assert (k in seen) == screened
+        assert k in seen
+        past = sum(v >= 1 << (40 * k) for v in table.values)
+        assert (past > 0) == crosses
+        assert brackets[k] - distances[k] == past
         assert {e.distance for e in events.events if e.k == k} >= {0, d_cap}
 
 
@@ -406,23 +447,79 @@ def test_screen_at_the_window_cut(monkeypatch, k, d_cap):
             assert (table.values.index(y**k + j), d_cap) in edge
 
 
+def zone_cases():
+    # every (k, d_cap), bracketed prefix and listed prefix, except where
+    # B is too large for a listed prefix to fit a test table
+    for k in (3, 7, 13):
+        for d_cap in (0, 1, 270343, 10**30):
+            for filled in (False, True):
+                if not filled or _screen_base(k, d_cap) < 10**5:
+                    yield k, d_cap, filled
+
+
+@pytest.mark.parametrize("k, d_cap, filled", zone_cases())
+def test_screened_zones_match_oracle(monkeypatch, k, d_cap, filled):
+    # y^k + j at the roots B - 1, B, B + 1 around the window cut B^k and
+    # 2^40 - 1, 2^40, 2^40 + 1 around 2^(40k), all in one _screened call.
+    # The prefix below B^k lists y = 1..B when it holds more n than B,
+    # as it does when filled with B + 1 more values above 2^(k-1), and
+    # is bracketed otherwise.  Near tests start at the larger of B^k and
+    # 2^(40k).
+    base = _screen_base(k, d_cap)
+    roots = (base - 1, base, base + 1, 2**40 - 1, 2**40, 2**40 + 1)
+    filler = range(2 ** (k - 1) + 1, 2 ** (k - 1) + base + 2) if filled else ()
+    table = PartitionTable(tuple(sorted(power_table(k, roots, d_cap).values + tuple(filler))))
+    seen, listed = screened_ks(monkeypatch), listings(monkeypatch)
+    brackets, distances = sweep_work(monkeypatch)
+    events = near_power_events(table, d_cap)
+    assert events == _near_power_events_oracle(table, d_cap)
+    assert k in seen
+    first = bisect.bisect_right(table.values, 2 ** (k - 1), 2)
+    prefix = bisect.bisect_left(table.values, base**k) - first
+    assert ((k, base) in listed) == (base < prefix)
+    if filled:
+        assert base < prefix
+    near = max(base**k, 1 << (40 * k))
+    assert brackets[k] - distances[k] == sum(v >= near for v in table.values)
+    found = {(e.n, e.k) for e in events.events}
+    for y in roots:
+        for j in (0, d_cap, -d_cap):
+            if y**k + j > 2 ** (k - 1):
+                assert (table.values.index(y**k + j), k) in found
+
+
+def test_prefix_lists_only_when_its_bases_are_fewer(table25k, monkeypatch):
+    # k = 17 at n_max 25000: at d_cap 10^70, B = 33,411 is more than the
+    # 5,306 n below B^17, so they are bracketed; at 270343, B = 5 and the
+    # prefix lists y = 1..5.  Either way no event is dropped.
+    listed = listings(monkeypatch)
+    values = table25k.values
+    logs = [math.log2(v) for v in values]
+    first = bisect.bisect_right(values, 1 << 16, 2)
+    for d_cap, lists in ((10**70, False), (270343, True)):
+        listed.clear()
+        got = set(partgap.repulsion._screened(values, logs, 17, d_cap, first, 25000))
+        assert listed == ([(17, _screen_base(17, d_cap))] if lists else [])
+        near = (nearest_power_distance(values[n], 17)[1] <= d_cap for n in range(first, 25001))
+        assert got >= {n for n, is_near in enumerate(near, start=first) if is_near}
+    assert (_screen_base(17, 10**70), _screen_base(17, 270343)) == (33411, 5)
+    assert bisect.bisect_left(values, 33411**17) - first == 5306
+
+
 def test_screen_stays_live(monkeypatch):
-    # the screen leaves 7,410 exact brackets at n_max 3000, composite k
-    # on the divisor path; one per pair on every prime k it takes would
-    # make 24,478
+    # at n_max 3000 and d_cap 270343 the sweep takes 5,551 root brackets:
+    # 4,087 exact near tests and 591 distances at k = 2 and 3, 228
+    # distances at the screened k = 5..19 and 645 at composite k.  One
+    # bracket per pair at k = 2 and 3 made 7,410, and one per pair on
+    # every prime k it screens would make 24,478
     table = cached_table(3000)
     expected = _near_power_events_oracle(table, 270343)
-    calls = []
-    bracket = partgap.repulsion._bracket
-
-    def counted(v, k):
-        calls.append(k)
-        return bracket(v, k)
-
-    monkeypatch.setattr(partgap.repulsion, "_bracket", counted)
+    brackets, distances = sweep_work(monkeypatch)
     assert near_power_events(table, 270343) == expected
     assert len(expected.events) == 843
-    assert len(calls) < 15000
+    assert sum(brackets.values()) == 5551
+    assert sum(brackets[k] - distances[k] for k in brackets) == 4087
+    assert distances[2] + distances[3] == 591
 
 
 PLANTED_ROOTS = (60, 61, 97)
@@ -480,30 +577,29 @@ def primes_between(lo, hi):
 
 
 @pytest.mark.parametrize(
-    "n_max, per_pair, screened, listed",
+    "n_max, near, listed",
     (
-        (3000, (2, 3), (5, 19), (23, 181)),
-        (25000, (2, 13), (17, 47), (53, 563)),
+        (3000, (2, 3), (23, 181)),
+        (25000, (2, 13), (53, 563)),
     ),
+    ids=("3000", "25000"),
 )
-def test_each_prime_k_keeps_its_path(request, monkeypatch, n_max, per_pair, screened, listed):
-    # at d_cap 270343 the sweep roots every pair of the smallest prime k,
-    # screens the next ones and lists the powers of the rest, up to the
-    # largest prime below the freeze bound
+def test_each_prime_k_keeps_its_path(request, monkeypatch, n_max, near, listed):
+    # at d_cap 270343 the sweep lists the powers of the largest prime k,
+    # up to the largest prime below the freeze bound, and takes one
+    # _screened call over the suffix of each smaller one.  Inside it
+    # k = 2 and 3 bracket the n below B^k and the others list y = 1..B
+    # there; the k whose root of p(n_max) passes 40 bits take near tests
     table = cached_table(3000) if n_max == 3000 else request.getfixturevalue("table25k")
-    seen, listed_ks = screened_ks(monkeypatch), set()
-    neighbours = partgap.repulsion._power_neighbours
-
-    def listing(values, k, *rest):
-        listed_ks.add(k)
-        return neighbours(values, k, *rest)
-
-    monkeypatch.setattr(partgap.repulsion, "_power_neighbours", listing)
+    seen, calls = screened_ks(monkeypatch), listings(monkeypatch)
+    brackets, distances = sweep_work(monkeypatch)
     near_power_events(table, 270343)
     primes = primes_between(2, stabilization_threshold(table) - 1)
-    assert set(seen) == primes_between(*screened)
-    assert listed_ks == primes_between(*listed)
-    assert primes - set(seen) - listed_ks == primes_between(*per_pair)
+    prefix = {k for k, bases in calls if k in seen and bases == _screen_base(k, 270343)}
+    assert set(seen) == primes_between(2, listed[0] - 1)
+    assert {k for k, _ in calls} - prefix == primes_between(*listed)
+    assert prefix == set(seen) - {2, 3}
+    assert {k for k in seen if brackets[k] > distances[k]} == primes_between(*near)
     assert max(primes) == listed[1]
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from partgap.roots import (
     _SCREEN_MODULI,
     _SCREEN_TARGET,
+    _SEED_BITS,
+    _bracket,
     _is_perfect_power_oracle,
     _power_neighbours,
     _screens,
@@ -219,21 +221,74 @@ def assert_root_and_distance(v, k):
 
 def test_roots_at_the_float_seed_switch():
     # a double seeds roots of up to 45 bits and Newton the rest, so
-    # (2^45 - 1)^k has 45k bits and 2^(45k) has 45k + 1
+    # (2^45 - 1)^k has 45k bits and 2^(45k) has 45k + 1; random values
+    # of those two lengths too
+    rng = random.Random(45)
     for k in range(3, 65):
         for y in ((1 << 45) - 1, 1 << 45):
             assert (y**k).bit_length() == 45 * k + (y == 1 << 45)
             for step in (-1, 0, 1):
                 assert_root_and_distance(y**k + step, k)
+        for bits in (45 * k, 45 * k + 1):
+            for _ in range(5):
+                assert_root_and_distance(rng.getrandbits(bits - 1) | 1 << (bits - 1), k)
+
+
+def test_roots_at_the_double_overflow():
+    # roots on both sides of 2^1024: below it Newton starts from the
+    # double, from 2^1024 on the double overflows and Newton descends
+    # from 2^ceil(bits/k)
+    for k in (3, 5, 13):
+        for y in ((1 << 1024) - 2, (1 << 1024) - 1, 1 << 1024, (1 << 1024) + 1):
+            for step in (-1, 0, 1):
+                assert_root_and_distance(y**k + step, k)
 
 
 @given(
-    st.integers(min_value=0, max_value=10**200),
+    st.integers(min_value=0, max_value=10**1000),
     st.integers(min_value=3, max_value=128),
 )
 @settings(max_examples=300, deadline=None)
 def test_roots_match_bisection(v, k):
     assert_root_and_distance(v, k)
+
+
+def test_newton_seed_error_within_derived_bound():
+    # r = int(2.0 ** (log2(v) / k)) against z = v^(1/k), for roots of 46
+    # to 1023 bits: |r - z| < 2^-_SEED_BITS z, that is
+    # v (2^s - 1)^k < (r 2^s)^k < v (2^s + 1)^k, in integers
+    rng = random.Random(41)
+    s = _SEED_BITS
+    for _ in range(3000):
+        k = rng.randrange(3, 40)
+        y = rng.getrandbits(rng.randrange(46, 1024)) | 1 << 45
+        v = y**k + rng.choice((0, 1, -1, rng.getrandbits(y.bit_length() * (k - 1))))
+        r = int(2.0 ** (math.log2(v) / k))
+        assert v * ((1 << s) - 1) ** k < (r << s) ** k < v * ((1 << s) + 1) ** k
+
+
+class CountedExponent(int):
+    # an exponent k that counts the powers base ** k taken with it: the
+    # bracket takes r^k and (r+1)^k, and one more per correction step
+    powers = 0
+
+    def __rpow__(self, base, mod=None):
+        self.powers += 1
+        assert self.powers <= 4, "more than two correction steps"
+        return pow(base, int(self), mod)
+
+
+def test_newton_leaves_at_most_two_correction_steps():
+    # every root above 45 bits, from the double or past it, ends its
+    # Newton steps within one step of the floor root
+    rng = random.Random(1024)
+    for _ in range(2000):
+        k = rng.randrange(3, 40)
+        y = rng.getrandbits(rng.randrange(46, 1060)) | 1 << 45
+        v = y**k + rng.choice((0, 1, -1, rng.getrandbits(y.bit_length() * (k - 1))))
+        assert v.bit_length() > 45 * k
+        r, power, upper = _bracket(v, CountedExponent(k))
+        assert power == r**k <= v < (r + 1) ** k == upper
 
 
 def test_floor_root_float_edge():
@@ -253,7 +308,9 @@ def is_prime(m):
 
 
 KNOWN_MODULI = {
-    2: [64, 63, 65, 11],  # 64 and the prime powers of 45045 = 9*5*7*11*13
+    # 64 and the prime powers of 45045 = 9*5*7*11*13, then the odd
+    # primes from 17 up to the cap
+    2: [64, 63, 65, 11, 17, 19, 23, 29],
     3: [7, 13, 19, 31, 37, 43, 61, 67],  # stopped by the cap
     5: [11, 31, 41, 61, 71, 101, 131],  # stopped by the target
 }
@@ -267,19 +324,23 @@ def test_screen_residues_are_exactly_the_powers(q):
         assert residues == frozenset(pow(x, q, m) for x in range(m))
     moduli = [m for m, _ in screens]
     assert moduli == KNOWN_MODULI.get(q, moduli)
-    if q == 2:
-        return
-    # the smallest primes = 1 (mod q), ascending, with no gap
-    assert moduli == [m for m in range(q + 1, moduli[-1] + 1) if m % q == 1 and is_prime(m)]
+    # q = 2 starts from four fixed moduli, then takes the odd primes
+    # from 17; an odd q takes the smallest primes = 1 (mod q); both
+    # ascending, with no gap
+    start = 4 if q == 2 else 0
+    first = 17 if q == 2 else q + 1
+    assert moduli[start:] == [
+        m for m in range(first, moduli[-1] + 1) if m % q == 1 and is_prime(m)
+    ]
 
     def met(count):
         # the pass rates of the first count moduli multiply to at most
         # 1/_SCREEN_TARGET, or count reached the cap
-        passed = math.prod((m - 1) // q + 1 for m in moduli[:count])
+        passed = math.prod(len(residues) for _, residues in screens[:count])
         return count == _SCREEN_MODULI or passed * _SCREEN_TARGET <= math.prod(moduli[:count])
 
     assert met(len(moduli))
-    assert not any(met(count) for count in range(len(moduli)))
+    assert not any(met(count) for count in range(start, len(moduli)))
 
 
 @given(
