@@ -16,26 +16,36 @@ commands run in separate processes over one cache walk each k once too.
 
 from __future__ import annotations
 
+import collections
 import csv
-from typing import IO, Callable, NamedTuple, Sequence
+from collections.abc import Sequence
+from io import TextIOBase
 
 from . import reference, repulsion
-from .partitions import PartitionTable
 from .roots import nearest_power_distance
 
 
-class Artifact(NamedTuple):
-    """One published table: its layouts, how to compute it, its reference."""
+class Artifact(
+    collections.namedtuple(
+        "Artifact",
+        "name header keys compute reference json ks text unchecked",
+        defaults=((), None, ""),
+    )
+):
+    """One published table: its layouts, how to compute it, its reference.
 
-    name: str
-    header: tuple[str, ...]
-    keys: int  # leading columns that name a row; the rest are its cells
-    compute: Callable[[PartitionTable], list[list[int]]]
-    reference: tuple[tuple[int, ...], ...]
-    json: Callable[[list[list[int]], int], object]  # (rows, n_max) -> --format json
-    ks: tuple[int, ...] = ()  # the k whose record walks compute reads
-    text: Callable[[list[list[int]]], list[str]] | None = None  # None: aligned columns
-    unchecked: str = ""  # why there is no reference to check against, if there is none
+    * ``name``, and ``header``, its column names;
+    * ``keys``: the leading columns that name a row; the rest are its cells;
+    * ``compute(table)``: the rows, lists of ints;
+    * ``reference``: the published rows, tuples of ints;
+    * ``json(rows, n_max)``: the object ``--format json`` prints;
+    * ``ks``: the k whose record walks ``compute`` reads, default ();
+    * ``text(rows)``: the text lines, default None: aligned columns;
+    * ``unchecked``: why there is no reference to check against, if
+      there is none, default "".
+    """
+
+    __slots__ = ()
 
     def cells(self, rows) -> dict[str, int]:
         """Rows flattened to {"<key>=<value> ... <column>": cell}."""
@@ -74,7 +84,7 @@ def diff(got: dict[str, int], want: dict[str, int]) -> list[str]:
     return lines
 
 
-def write_csv(stream: IO[str], header: Sequence[str], rows) -> None:
+def write_csv(stream: TextIOBase, header: Sequence[str], rows) -> None:
     """The CSV layout of every table: comma, LF, header row, no quoting."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)

@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import artifacts, fitting, repulsion, witnesses
 from .partitions import (
@@ -246,16 +246,15 @@ def cmd_s_check(args) -> int:
 # ------------------------------------------------------------ missed
 
 def cmd_missed(args) -> int:
+    # each value is written as the sieve is read: no list of them is kept
     try:
-        values = witnesses.missed_values(args.bound)
+        values = witnesses._missed(args.bound)
     except MemoryError:
         raise ValueError(
-            "missed --bound %d ran out of memory: its sieve needs %d bytes,"
-            " and its list of missed values more"
+            "missed --bound %d ran out of memory: its sieve needs %d bytes"
             % (args.bound, args.bound + 1)
         ) from None
-    for v in values:
-        print(v)
+    sys.stdout.writelines(map("%d\n".__mod__, values))
     return 0
 
 

@@ -17,17 +17,12 @@ coefficients of such fits are numerically tender.
 
 from __future__ import annotations
 
+import collections
 import math
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 
-class _LogPolyFields(NamedTuple):
-    degree: int
-    coefficients: tuple[float, ...]
-    window_exponent: int
-
-
-class LogPolyModel(_LogPolyFields):
+class LogPolyModel(collections.namedtuple("LogPolyModel", "degree coefficients window_exponent")):
     """value(d) ~ sum_j coefficients[j] * (ln d)^j, natural log.
 
     A named tuple (degree, coefficients, window_exponent), checked on

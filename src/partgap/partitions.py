@@ -13,11 +13,13 @@ recurrence; it never feeds production paths.
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import math
 import operator
 import os
-from typing import IO, Callable, NamedTuple
+from collections.abc import Callable
+from io import TextIOBase
 
 # Hard ceiling on table length.  The recurrence itself is fine well past
 # this, but the value cache for n_max ~ 5M would need several GB; reject
@@ -192,7 +194,7 @@ def hardy_ramanujan_estimate(n: int) -> float:
     return math.exp(log_value)
 
 
-class IndexLookup(NamedTuple):
+class IndexLookup(collections.namedtuple("IndexLookup", "index out_of_range")):
     """Result of a membership probe against the partition sequence.
 
     ``index`` is the n with p(n) == v, or None if v is not a partition
@@ -200,8 +202,7 @@ class IndexLookup(NamedTuple):
     v > p(n_max), i.e. the table cannot decide membership either way.
     """
 
-    index: int | None
-    out_of_range: bool
+    __slots__ = ()
 
 
 def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
@@ -223,12 +224,12 @@ def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
     return IndexLookup(index=None, out_of_range=False)
 
 
-def dump_values(table: PartitionTable, stream: IO[str]) -> None:
+def dump_values(table: PartitionTable, stream: TextIOBase) -> None:
     """Write p(0..n_max) as newline-delimited decimal integers."""
     stream.writelines(map("%d\n".__mod__, table.values))
 
 
-def write_atomically(path: str, write: Callable[[IO[str]], None]) -> None:
+def write_atomically(path: str, write: Callable[[TextIOBase], None]) -> None:
     """Call ``write(stream)`` on a temporary file in the directory of
     ``path``, then rename that file over ``path``.  An interrupted or
     failed write removes the temporary file, so no truncated file is
@@ -251,7 +252,7 @@ def save_table(table: PartitionTable, path: str) -> None:
     """Persist a table: first line n_max, then one value per line,
     written atomically (:func:`write_atomically`)."""
 
-    def write(fh: IO[str]) -> None:
+    def write(fh: TextIOBase) -> None:
         fh.write("%d\n" % table.n_max)
         dump_values(table, fh)
 

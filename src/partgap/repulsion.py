@@ -42,13 +42,14 @@ once per cache directory, not once per process.
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .partitions import PartitionTable, write_atomically
-from .roots import _bracket, _power_neighbours, floor_kth_root, nearest_power_distance
+from .roots import _SCREEN_REL, _bracket, _power_neighbours, floor_kth_root, nearest_power_distance
 
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
@@ -260,15 +261,13 @@ def stabilization_threshold(table: PartitionTable) -> int:
     return (2 * table.values[table.n_max] - 1).bit_length()
 
 
-class NearPowerEvent(NamedTuple):
+class NearPowerEvent(collections.namedtuple("NearPowerEvent", "n k distance")):
     """A pair (n, k) with p(n) unusually close to a k-th power."""
 
-    n: int
-    k: int
-    distance: int
+    __slots__ = ()
 
 
-class EventSet(NamedTuple):
+class EventSet(collections.namedtuple("EventSet", "table d_cap events runs")):
     """All near-power events with distance <= d_cap, n in 2..n_max of
     ``table``, the one swept, and the runs of n_d they decide.  The n_d
     family takes the set for that table's values only.  Equality covers
@@ -289,10 +288,7 @@ class EventSet(NamedTuple):
     every event, records or not, in (n, k) order.
     """
 
-    table: PartitionTable
-    d_cap: int
-    events: tuple[NearPowerEvent, ...]
-    runs: tuple[tuple[int, int, int], ...]
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "EventSet(d_cap=%r, events=%r, runs=%r)" % (self.d_cap, self.events, self.runs)
@@ -371,22 +367,10 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
 
 
 # The float screen.  For v = p(n) with z = v^(1/k) < 2^b, b <= 40, the
-# double x = 2.0 ** (math.log2(v) / k) lies within 2^(b-46) of z:
-#
-# * math.log2 of an int rounds it to 53 bits, or past the double range
-#   rounds its mantissa m in [1/2, 1) to 53 bits and returns
-#   log2(m) + e, one more rounding.  Rounding v moves log2 v by at most
-#   2^-53 / ln 2 < 2^-52.  The C library's log2 and pow are taken to be
-#   within one ulp (2^-52 relative), an assumption the tests check by
-#   measuring the whole chain against the bound below.  So
-#   L = math.log2(v) is off by at most 2^-52 (log2 v + 2).
-# * L / k rounds once more, so it is off from t = log2 z by at most
-#   2^-52 (t + 2/k) + 2^-53 t <= 2^-52 (1.5 t + 1) < 61 * 2^-52.
-# * 2.0 ** (L / k) multiplies z by 2^(that error) and by one more ulp:
-#   a relative error below (61 ln 2 + 1) 2^-52 < 44 * 2^-52 = 2^-46.5.
-#
-# _SCREEN_REL = 2^-46 rounds that up.  Second, past a cut the d_cap
-# window in x is at most w = 2^-_SCREEN_WINDOW = 2^-12.  Take an integer
+# double x = 2.0 ** (math.log2(v) / k) lies within _SCREEN_REL 2^b =
+# 2^(b-46) of z, by the rounding argument beside roots._SEED_BITS.
+# Second, past a cut the d_cap window in x is at most
+# w = 2^-_SCREEN_WINDOW = 2^-12.  Take an integer
 # y with |v - y^k| <= d_cap and z >= B, where B >= 2 and
 # k (B-1)^(k-1) >= d_cap / w.  If y <= z - 1, then
 # v - y^k >= z^k - (z-1)^k >= k (z-1)^(k-1) >= k (B-1)^(k-1) > d_cap
@@ -404,7 +388,6 @@ def _near_power_events_oracle(table: PartitionTable, d_cap: int) -> EventSet:
 # choice of w only trades those n against the screen's survivors: 2^-12
 # brackets the fewest at n_max 3000 and 25000 with d_cap 270343.
 _SCREEN_BITS = 40
-_SCREEN_REL = 2.0 ** -46
 _SCREEN_WINDOW = 12
 # Listing one power y^k and bisecting for its window costs about as
 # much as screening six p(n) (1.2 against 0.2 us at n_max 3000 and

@@ -5,8 +5,12 @@ All arithmetic is on arbitrary-precision ints; floats only ever seed a
 root and every candidate is corrected against the exact bracket
 r^k <= v < (r+1)^k.  A root of at most 45 bits (v below 2^(45k), which
 covers every v below 2^53 once k >= 3) is seeded straight from a
-double, which lands within one of it; a larger root takes the few
-Newton steps that the double's error bound needs first.  One routine
+double, which lands within one of it; a larger root, however large,
+takes one seed from a double (of v less whole k-bit digits past 2^1000
+in the root, so the double never overflows) and then the few Newton
+steps that the double's error bound needs.  That bound is derived once,
+beside _SEED_BITS, and also gives the near-power sweep's float screen
+its tolerance.  One routine
 takes that bracket and keeps both powers: floor_kth_root reads
 exactness off r^k, and nearest_power_distance reads the distance off
 r^k and (r+1)^k without taking a power of its own.
@@ -28,33 +32,55 @@ modulus.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from collections.abc import Iterator, Sequence
 
 
-class KthRootResult(NamedTuple):
-    root: int
-    exact: bool
+class KthRootResult(collections.namedtuple("KthRootResult", "root exact")):
+    __slots__ = ()
 
 
-# Newton from the double.  For a root z = v^(1/k) of t bits, 45 < t <=
-# 1024, the double x = 2.0 ** (math.log2(v) / k) is off from z by under
-# (ln 2 (1.5 t + 1) + 1) 2^-52 relative, by the rounding argument of
-# repulsion's float screen: below 1067 * 2^-52 < 2^-41.9, and int(x)
-# truncates under 2^-45 more.  So r = int(x) has relative error
-# |e| < 2^-good with good = _SEED_BITS.  One integer step
+# The double's error.  For v >= 1 whose root z = v^(1/k) is below 2^t,
+# t <= 1024, the double x = 2.0 ** (math.log2(v) / k) is within
+# (ln 2 (1.5 t + 1) + 1) 2^-52 of z, relative:
+#
+# * math.log2 of an int rounds it to 53 bits, or past the double range
+#   rounds its mantissa m in [1/2, 1) to 53 bits and returns
+#   log2(m) + e, one more rounding.  Rounding v moves log2 v by at most
+#   2^-53 / ln 2 < 2^-52.  The C library's log2 and pow are taken to be
+#   within one ulp (2^-52 relative), an assumption the tests check by
+#   measuring the whole chain against the bounds below.  So
+#   L = math.log2(v) is off by at most 2^-52 (log2 v + 2).
+# * L / k rounds once more, so it is off from log2 z by at most
+#   2^-52 (log2 z + 2/k) + 2^-53 log2 z <= 2^-52 (1.5 t + 1).
+# * 2.0 ** (L / k) multiplies z by 2^(that error) and by one more ulp.
+#
+# Two instances of that bound are used:
+#
+# * t <= 1024, the Newton seed: below 1067 * 2^-52 < 2^-41.9, and int(x)
+#   truncates under 2^-45 more once x >= 2^45.  So _SEED_BITS = 41.
+# * t <= 40, the near-power sweep's float screen (repulsion): below
+#   (61 ln 2 + 1) 2^-52 < 44 * 2^-52 = 2^-46.5, so _SCREEN_REL = 2^-46,
+#   and a root below 2^b is within 2^(b-46) of its double.
+#
+# Newton from the double.  A root of more than 45 bits starts from
+# r = int(x), or for v of more than 1000k bits from the root of
+# v >> (shift k), shift = bits // k - 1000, shifted back left: that root
+# is below 2^1001, so its double does not overflow, and dropping whole
+# k-bit digits moves it by under 2^-1000 relative.  Either way r has
+# relative error |e| < 2^-good with good = _SEED_BITS.  One integer step
 # r -> ((k-1) r + v // r^(k-1)) // k lands at or above floor(z), by
 # AM-GM on k-1 copies of r and v / r^(k-1), and at most
 # (k-1)/2 e^2 (1 - |e|)^(-k-1) < k e^2 relative above z, as
-# (1 - |e|)^(-k-1) < 2 for any k < 2^40; below z it is off by under one.  So each
-# step squares the error and loses at most k.bit_length() > log2 k
-# bits.  With t = ceil(bits / k), z < 2^t, so once good >= t,
-# r - z < 1: r is floor(z) or one more, and no step confirms it.  A root
-# of 2^1024 or more overflows the double and descends from 2^t
-# instead, until a step stops falling.
+# (1 - |e|)^(-k-1) < 2 for any k < 2^40; below z it is off by under one.
+# So each step squares the error and loses at most k.bit_length() >
+# log2 k bits.  With t = ceil(bits / k), z < 2^t, so once good >= t,
+# r - z < 1: r is floor(z) or one more, and no step confirms it.
 _SEED_BITS = 41
+_SCREEN_REL = 2.0 ** -46
 
 
 def _bracket(v: int, k: int) -> tuple[int, int, int]:
@@ -69,20 +95,23 @@ def _bracket(v: int, k: int) -> tuple[int, int, int]:
     if (bits := v.bit_length()) <= k:
         # 2^k > v means the root is 1
         return 1, 1, 1 << min(k, bits + 1)
-    try:
+    if bits <= 45 * k:
         # off by well under one for a root of at most 45 bits
         r = int(2.0 ** (math.log2(v) / k))
-    except OverflowError:
-        r = 1 << -(-bits // k)  # 2^ceil(bits/k) > the root: Newton descends
-        while (s := ((k - 1) * r + v // r ** (k - 1)) // k) < r:
-            r = s
     else:
-        if bits > 45 * k:
-            # a larger root: the Newton steps its error bound needs (see above)
-            good = _SEED_BITS
-            while good * k < bits:
-                r = ((k - 1) * r + v // r ** (k - 1)) // k
-                good = 2 * good - k.bit_length()
+        # a larger root: the double of v less its low whole k-bit
+        # digits, so that its root stays below 2^1001, then the Newton
+        # steps its error bound needs (see above).  No digit is dropped
+        # below 2^1000, and v is not copied to drop none.
+        if bits > 1000 * k:
+            shift = bits // k - 1000
+            r = int(2.0 ** (math.log2(v >> shift * k) / k)) << shift
+        else:
+            r = int(2.0 ** (math.log2(v) / k))
+        good = _SEED_BITS
+        while good * k < bits:
+            r = ((k - 1) * r + v // r ** (k - 1)) // k
+            good = 2 * good - k.bit_length()
     # the float root or Newton is off by at most one step; make it exact
     power = r ** k
     while power > v:
@@ -105,12 +134,12 @@ def floor_kth_root(v: int, k: int) -> KthRootResult:
     it, a fraction of one: its floor goes straight to the exact
     correction loops, which step r down while r^k > v and up while
     (r+1)^k <= v.  Larger roots run Newton's method on integers first,
-    from the same double, off by under 2^-41 relative: each step squares
-    that error less log2 k bits, and the steps stop once it is below one
-    unit of the root, so r is the floor root or one more and no step
-    confirms it.  A root past the double range descends from the
-    bit-length bound 2^ceil(bits/k) instead, until a step stops falling.
-    The answer never rests on the float: the loops always end at
+    from the same double, off by under 2^-41 relative; past 2^1000 the
+    double is taken of v with its low whole k-bit digits dropped and
+    shifted back, so it never overflows.  Each step squares that error
+    less log2 k bits, and the steps stop once it is below one unit of
+    the root, so r is the floor root or one more and no step confirms
+    it.  The answer never rests on the float: the loops always end at
     r^k <= v < (r+1)^k, holding both powers.
     """
     if v < 0:
@@ -192,9 +221,8 @@ def prime_exponents_up_to(limit: int) -> list[int]:
     return _PRIME_CACHE[: bisect.bisect_right(_PRIME_CACHE, limit)]
 
 
-class PowerWitness(NamedTuple):
-    base: int
-    exponent: int
+class PowerWitness(collections.namedtuple("PowerWitness", "base exponent")):
+    __slots__ = ()
 
 
 def _power_residues(q: int, m: int) -> frozenset[int]:

@@ -54,12 +54,12 @@ take 63 and 151 exact roots (``BENCH_near.json``).
 from __future__ import annotations
 
 import bisect
+import collections
 import math
 import os
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable, Iterator
 
 from .partitions import (
-    IndexLookup,
     PartitionTable,
     build_table,
     is_partition_number,
@@ -90,13 +90,10 @@ BUNDLED_LIST_NAME = "exceptional_tuples.txt"
 _LIST_COST = 10
 
 
-class CoverageWitness(NamedTuple):
+class CoverageWitness(collections.namedtuple("CoverageWitness", "n x prime exponent")):
     """p(n) = x^2 + prime^exponent, with prime < 100 not dividing x."""
 
-    n: int
-    x: int
-    prime: int
-    exponent: int
+    __slots__ = ()
 
 
 # Moduli of the square screen: 64 and the CRT factors of 45045.
@@ -196,9 +193,9 @@ def coverage_witness(table: PartitionTable, n: int) -> CoverageWitness | None:
     return None
 
 
-class CoverageStatus(NamedTuple):
-    n: int
-    witness: CoverageWitness | None
+class CoverageStatus(collections.namedtuple("CoverageStatus", "n witness")):
+    # witness is a CoverageWitness, or None when n is not covered
+    __slots__ = ()
 
     @property
     def covered(self) -> bool:
@@ -221,10 +218,17 @@ def coverage_scan(
 
 def missed_values(bound: int) -> list[int]:
     """Integers in 1..bound with no x^2 + q^a form (q < 100 prime, q
-    not dividing x, a >= 1).
+    not dividing x, a >= 1), ascending: the list of :func:`_missed`."""
+    return list(_missed(bound))
+
+
+def _missed(bound: int) -> Iterator[int]:
+    """The values of :func:`missed_values`, read off the sieve one by one.
 
     Sieve over all (x, q^a) pairs in range, then read off the unmarked
     values.  x runs over positive integers only, since q divides 0.
+    About nine in ten values are unmarked, so a reader that writes each
+    one as it comes holds only the sieve, one byte per value.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1, got %d" % bound)
@@ -236,18 +240,15 @@ def missed_values(bound: int) -> list[int]:
                 if x % q != 0:
                     marked[x * x + power] = 1
             power *= q
-    return [m for m in range(1, bound + 1) if not marked[m]]
+    return (m for m in range(1, bound + 1) if not marked[m])
 
 
-class ExceptionalTuple(NamedTuple):
+class ExceptionalTuple(collections.namedtuple("ExceptionalTuple", "prime exponent base power")):
     """One entry (prime, exponent, base, power) of the published finite
     list of solutions x^2 + prime^exponent = base^power with the prime
     below 100 not dividing x and power >= 3."""
 
-    prime: int
-    exponent: int
-    base: int
-    power: int
+    __slots__ = ()
 
 
 def _validate_tuple(t: ExceptionalTuple, where: str) -> None:
@@ -320,17 +321,16 @@ def bundled_exceptional_list() -> tuple[ExceptionalTuple, ...]:
     return load_exceptional_list(os.path.join(here, "data", BUNDLED_LIST_NAME))
 
 
-class PowerCheck(NamedTuple):
-    candidate: ExceptionalTuple
-    value: int
-    lookup: IndexLookup
+class PowerCheck(collections.namedtuple("PowerCheck", "candidate value lookup")):
+    # the value base^power of an ExceptionalTuple, and its IndexLookup
+    __slots__ = ()
 
 
-class ExceptionalReport(NamedTuple):
-    """Outcome of testing each exceptional base^power for partition-hood."""
+class ExceptionalReport(collections.namedtuple("ExceptionalReport", "n_max checks")):
+    """Outcome of testing each exceptional base^power for partition-hood:
+    a tuple of PowerCheck, one per candidate, against p(0..n_max)."""
 
-    n_max: int
-    checks: tuple[PowerCheck, ...]
+    __slots__ = ()
 
     @property
     def all_clear(self) -> bool:

@@ -92,7 +92,7 @@ def test_readme_commands_exist():
 
 
 LAYERS = ("partitions", "roots", "repulsion", "witnesses", "fitting")
-SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal", "importlib.resources", "tempfile")
+SLOW_IMPORTS = ("dataclasses", "inspect", "fractions", "decimal", "importlib.resources", "tempfile", "typing")
 
 
 def test_import_is_eager_and_cheap():

@@ -235,11 +235,12 @@ def test_roots_at_the_float_seed_switch():
 
 
 def test_roots_at_the_double_overflow():
-    # roots on both sides of 2^1024: below it Newton starts from the
-    # double, from 2^1024 on the double overflows and Newton descends
-    # from 2^ceil(bits/k)
+    # roots on both sides of 2^1000 and of 2^1024: up to 1000k bits of v
+    # the seed is the double of v, past that the double of v with its
+    # low whole k-bit digits dropped, so no root overflows the double
     for k in (3, 5, 13):
-        for y in ((1 << 1024) - 2, (1 << 1024) - 1, 1 << 1024, (1 << 1024) + 1):
+        for y in ((1 << 1000) - 1, 1 << 1000, (1 << 1000) + 1,
+                  (1 << 1024) - 2, (1 << 1024) - 1, 1 << 1024, (1 << 1024) + 1):
             for step in (-1, 0, 1):
                 assert_root_and_distance(y**k + step, k)
 
@@ -253,18 +254,32 @@ def test_roots_match_bisection(v, k):
     assert_root_and_distance(v, k)
 
 
+def newton_seed(v, k):
+    # the seed of a root above 45 bits, as _bracket takes it
+    bits = v.bit_length()
+    shift = max(bits // k - 1000, 0)
+    return int(2.0 ** (math.log2(v >> shift * k) / k)) << shift
+
+
+def near_power(rng, k, root_bits):
+    # y^k, y^k +- 1 or y^k plus up to y^(k-1), for a random y of root_bits bits
+    y = rng.getrandbits(root_bits) | 1 << (root_bits - 1)
+    return y**k + rng.choice((0, 1, -1, rng.getrandbits(y.bit_length() * (k - 1))))
+
+
 def test_newton_seed_error_within_derived_bound():
-    # r = int(2.0 ** (log2(v) / k)) against z = v^(1/k), for roots of 46
-    # to 1023 bits: |r - z| < 2^-_SEED_BITS z, that is
+    # the seed r against z = v^(1/k), for roots of 46 to 5000 bits, from
+    # the double of v or, past 1000k bits, of v less whole k-bit digits:
+    # |r - z| < 2^-_SEED_BITS z, that is
     # v (2^s - 1)^k < (r 2^s)^k < v (2^s + 1)^k, in integers
     rng = random.Random(41)
     s = _SEED_BITS
-    for _ in range(3000):
-        k = rng.randrange(3, 40)
-        y = rng.getrandbits(rng.randrange(46, 1024)) | 1 << 45
-        v = y**k + rng.choice((0, 1, -1, rng.getrandbits(y.bit_length() * (k - 1))))
-        r = int(2.0 ** (math.log2(v) / k))
-        assert v * ((1 << s) - 1) ** k < (r << s) ** k < v * ((1 << s) + 1) ** k
+    for count, top in ((3000, 1024), (300, 5001)):
+        for _ in range(count):
+            k = rng.randrange(3, 40)
+            v = near_power(rng, k, rng.randrange(46, top))
+            r = newton_seed(v, k)
+            assert v * ((1 << s) - 1) ** k < (r << s) ** k < v * ((1 << s) + 1) ** k
 
 
 class CountedExponent(int):
@@ -279,16 +294,41 @@ class CountedExponent(int):
 
 
 def test_newton_leaves_at_most_two_correction_steps():
-    # every root above 45 bits, from the double or past it, ends its
-    # Newton steps within one step of the floor root
+    # every root above 45 bits, below 2^1024 or past it, ends its Newton
+    # steps within one step of the floor root
     rng = random.Random(1024)
-    for _ in range(2000):
-        k = rng.randrange(3, 40)
-        y = rng.getrandbits(rng.randrange(46, 1060)) | 1 << 45
-        v = y**k + rng.choice((0, 1, -1, rng.getrandbits(y.bit_length() * (k - 1))))
-        assert v.bit_length() > 45 * k
-        r, power, upper = _bracket(v, CountedExponent(k))
-        assert power == r**k <= v < (r + 1) ** k == upper
+    for count, top in ((2000, 1060), (200, 5001)):
+        for _ in range(count):
+            k = rng.randrange(3, 40)
+            v = near_power(rng, k, rng.randrange(46, top))
+            assert v.bit_length() > 45 * k
+            r, power, upper = _bracket(v, CountedExponent(k))
+            assert power == r**k <= v < (r + 1) ** k == upper
+
+
+class CountedValue(int):
+    # a value v that counts the divisions v // r^(k-1), one per Newton step
+    divisions = 0
+
+    def __floordiv__(self, other):
+        self.divisions += 1
+        return int(self) // other
+
+
+@pytest.mark.parametrize(
+    "bits, k, steps",
+    # good = 41, then 2 good - k.bit_length() per step until good k >= bits
+    [(3500, 3, 5), (6000, 5, 5), (9000, 8, 5), (12000, 7, 6), (40000, 11, 7)],
+)
+def test_root_past_the_double_takes_the_scheduled_steps(bits, k, steps):
+    # roots past 2^1024 start from the same error bound as the rest, so
+    # they take exactly the scheduled Newton steps, and no descent
+    rng = random.Random(bits)
+    for _ in range(5):
+        v = CountedValue(rng.getrandbits(bits) | 1 << (bits - 1))
+        r, power, upper = _bracket(v, k)
+        assert v.divisions == steps
+        assert power == r**k <= v < upper == (r + 1) ** k
 
 
 def test_floor_root_float_edge():
