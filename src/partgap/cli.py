@@ -11,6 +11,7 @@ failed (reference mismatch, uncovered index, counterexample found),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -245,8 +246,12 @@ def cmd_s_check(args) -> int:
 
 # ------------------------------------------------------------ missed
 
+_MISSED_BLOCK = 4096  # values per write: each block joins in about 0.1 MB
+
+
 def cmd_missed(args) -> int:
-    # each value is written as the sieve is read: no list of them is kept
+    # the values are written as the sieve is read, _MISSED_BLOCK to one
+    # write: no list of them all is kept
     try:
         values = witnesses._missed(args.bound)
     except MemoryError:
@@ -254,7 +259,8 @@ def cmd_missed(args) -> int:
             "missed --bound %d ran out of memory: its sieve needs %d bytes"
             % (args.bound, args.bound + 1)
         ) from None
-    sys.stdout.writelines(map("%d\n".__mod__, values))
+    while block := tuple(itertools.islice(values, _MISSED_BLOCK)):
+        sys.stdout.write("%d\n" * len(block) % block)
     return 0
 
 

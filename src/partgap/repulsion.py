@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import bisect
 import collections
-import heapq
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
@@ -54,6 +53,7 @@ from .roots import _SCREEN_REL, _bracket, _power_neighbours, floor_kth_root, nea
 DEFAULT_EXPONENTS = tuple(range(0, 71))
 DEFAULT_N_MAX = 25000
 _RUN_START = itemgetter(0)  # d_lo of a run (d_lo, d_hi, N)
+_GAP_END = itemgetter(1)  # d_hi of a gap (d_lo, d_hi)
 _N_DISTANCE = itemgetter(0, 2)  # (n, distance) of an event (n, k, distance)
 
 
@@ -282,10 +282,11 @@ class EventSet(collections.namedtuple("EventSet", "table d_cap events runs")):
     ``runs`` holds the maximal runs (d_lo, d_hi, N) with n_d constant,
     ascending and covering d = 0..min(d_cap, p(n_max) - 2): past
     p(n_max) - 2, limit_L over p(0..n_max) is undecided, and at n_max 1
-    that leaves no d at all, so no runs.  They are built once, from the
-    records of each k's events (see :func:`_event_set`), and every n_d
-    query is one bisect over their starts.  ``events`` stays complete:
-    every event, records or not, in (n, k) order.
+    that leaves no d at all, so no runs.  They are painted once, from
+    the records of each k's events in one pass over k, descending (see
+    :func:`_event_set`), and every n_d query is one bisect over their
+    starts.  ``events`` stays complete: every event, records or not, in
+    (n, k) order.
     """
 
     __slots__ = ()
@@ -307,43 +308,42 @@ def _event_set(
     (:func:`_minima`, as a record walk reads them).  Any other event has
     a record at a larger n with no larger distance, and p is ascending,
     so its interval lies inside that record's.  Record j covers
-    [dist_j, min(p(n_j) - 2, d_max)]; both ends fall as n does, so the
-    covers of one k that touch merge in one pass.  n_d can change only
-    at a cover's start or one past its end, and one sweep over those
-    points, with a max-heap of the covering k, yields the runs.
+    [dist_j, min(p(n_j) - 2, d_max)].
+
+    One pass over k, descending, paints the runs.  ``gaps`` holds the
+    sorted, disjoint d that no larger k covers, at first all of
+    0..d_max.  Each record of k cuts the part of the gaps it covers out
+    as runs of N = k + 1, and the gaps keep its at most two uncovered
+    ends.  n_d(d) - 1 is the largest k with a record covering d, and
+    going through k descending, the first k to reach d is that k: so
+    each run is painted with its n_d, and a cover inside d already
+    painted adds nothing.  The d that no record covers stay in the gaps
+    and take N = 2.  Sorted, the runs merge neighbours of one N.
     """
     values = table.values
     d_max = min(d_cap, values[table.n_max] - 2)
-    covers = []  # (start, k, last), at most one per record
-    for k, group in by_k.items():
-        for dist, n in _minima(map(_N_DISTANCE, reversed(group))):
-            last = min(values[n] - 2, d_max)
-            if dist > last:
+    gaps = [(0, d_max)] if d_max >= 0 else []
+    painted: list[tuple[int, int, int]] = []
+    for k in sorted(by_k, reverse=True):
+        for dist, n in _minima(map(_N_DISTANCE, reversed(by_k[k]))):
+            hi = min(values[n] - 2, d_max)
+            if dist > hi:
                 continue
-            if covers and covers[-1][1] == k and last + 1 >= covers[-1][0]:
-                covers[-1] = (dist, k, covers[-1][2])  # touches k's cover above
-            else:
-                covers.append((dist, k, last))
-    covers.sort()
-    bounds = {c for start, _, last in covers for c in (start, last + 1)}
-    bounds.add(0)
-    cuts = sorted(c for c in bounds if c <= d_max)
-    # heap of (-k, last d it applies at): the largest applying k on top
-    applying: list[tuple[int, int]] = []
+            i = j = bisect.bisect_left(gaps, dist, key=_GAP_END)
+            while j < len(gaps) and gaps[j][0] <= hi:
+                painted.append((max(gaps[j][0], dist), min(gaps[j][1], hi), k + 1))
+                j += 1
+            if i < j:  # keep the uncovered ends that hold some d
+                ends = ((gaps[i][0], dist - 1), (hi + 1, gaps[j - 1][1]))
+                gaps[i:j] = [end for end in ends if end[0] <= end[1]]
+    painted += [(lo, hi, 2) for lo, hi in gaps]
+    painted.sort()
     out: list[tuple[int, int, int]] = []
-    i = 0
-    for j, lo in enumerate(cuts):
-        while i < len(covers) and covers[i][0] <= lo:
-            heapq.heappush(applying, (-covers[i][1], covers[i][2]))
-            i += 1
-        while applying and applying[0][1] < lo:
-            heapq.heappop(applying)
-        value = 1 - applying[0][0] if applying else 2
-        upper = cuts[j + 1] - 1 if j + 1 < len(cuts) else d_max
-        if out and out[-1][2] == value:
-            out[-1] = (out[-1][0], upper, value)
+    for run in painted:
+        if out and out[-1][2] == run[2]:
+            out[-1] = (out[-1][0], run[1], run[2])
         else:
-            out.append((lo, upper, value))
+            out.append(run)
     events = sorted(e for group in by_k.values() for e in group)
     return EventSet(table, d_cap, tuple(events), tuple(out))
 

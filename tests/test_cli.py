@@ -13,7 +13,7 @@ import pytest
 
 import partgap.partitions
 import partgap.repulsion
-from partgap.cli import cmd_missed, main
+from partgap.cli import _MISSED_BLOCK, cmd_missed, main
 from partgap.reference import REFERENCE_K_VALUES
 from partgap.witnesses import missed_values
 
@@ -310,6 +310,18 @@ def test_missed_writes_the_library_list(capsys):
     code, out, _ = run(capsys, "missed", "--bound", "100000")
     assert code == 0
     assert out == "".join("%d\n" % v for v in missed_values(100000))
+
+
+def test_missed_writes_whole_and_split_blocks(capsys):
+    # the bound whose values fill exactly two blocks, the next bound, and
+    # the bound that starts a third block with one value
+    values = missed_values(4 * _MISSED_BLOCK)
+    two = values[2 * _MISSED_BLOCK - 1]
+    for bound in (two, two + 1, values[2 * _MISSED_BLOCK]):
+        code, out, _ = run(capsys, "missed", "--bound", str(bound))
+        assert code == 0
+        assert out == "".join("%d\n" % v for v in missed_values(bound))
+    assert len(missed_values(two)) == 2 * _MISSED_BLOCK
 
 
 class Discard(io.TextIOBase):

@@ -751,6 +751,7 @@ def n_d_cases(draw):
     d_cap = draw(
         st.just(0)
         | st.integers(min_value=1, max_value=10**4)
+        | st.integers(min_value=10**4, max_value=max(top, 10**4))
         | st.integers(min_value=top, max_value=2 * top)
     )
     return size, n_max, d_cap
@@ -788,6 +789,32 @@ def test_n_d_family_reads_the_runs(case, data):
         assert n_d_intervals(table, d_max, events=events) == per_cut_intervals(
             table, d_max, capped
         )
+
+
+@given(st.lists(st.integers(min_value=2, max_value=3000), min_size=1, max_size=12, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_small_tables_at_every_d(sample):
+    # any ascending p(2..n_max), swept with d_cap at its top: the runs
+    # give the plain event scan's n_d at every d they cover
+    table = PartitionTable((1, 1, *sorted(sample)))
+    top = table.p(table.n_max)
+    events = near_power_events(table, top)
+    assert events.runs[-1][1] == top - 2
+    for d in range(top - 1):
+        assert n_d(table, d, events=events) == _n_d_from_events(table, d, events)
+
+
+def test_run_painted_at_the_cap_just_past_a_larger_k():
+    # k = 4 covers d = 7 alone (|9 - 16| = 7 = p(2) - 2), k = 3 covers
+    # 1..7 (|9 - 8| = 1), and k = 2 covers 0..7 at p(2) = 9 = 3^2 and
+    # 4..43 at p(3) = 45 = 7^2 - 4, which d_cap 8 cuts to 4..8.  So d = 8,
+    # the cap, lies just past k = 4's end and only k = 2 reaches it.
+    table = PartitionTable((1, 1, 9, 45))
+    events = near_power_events(table, 8)
+    assert events.runs == ((0, 0, 3), (1, 6, 4), (7, 7, 5), (8, 8, 3))
+    assert [n_d(table, d, events=events) for d in range(9)] == [
+        _n_d_from_events(table, d, events) for d in range(9)
+    ]
 
 
 def test_n_d_family_never_takes_limit_L(monkeypatch):
