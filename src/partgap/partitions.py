@@ -211,12 +211,13 @@ def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
     Returns the smallest n >= 1 with p(n) == v; p(0) = p(1) = 1, so a
     probe for 1 reports index 1.  Values above p(n_max) come back
     (None, True) rather than a hard error so scan loops can decide how
-    to degrade.
+    to degrade.  A table of p(0) alone (n_max 0) holds no n >= 1, so it
+    cannot decide any v >= 1 either: (None, True).
     """
     if v < 1:
         return IndexLookup(index=None, out_of_range=False)
     vals = table.values
-    if v > vals[table.n_max]:
+    if v > vals[table.n_max] or table.n_max < 1:
         return IndexLookup(index=None, out_of_range=True)
     n = bisect.bisect_left(vals, v, 1, table.n_max + 1)
     if vals[n] == v:

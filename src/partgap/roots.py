@@ -26,7 +26,11 @@ would have failed.  Each q takes moduli until a non-power passes them
 all with probability at most 1/10000, or eight of them; q = 2 stops at
 eight and passes about 1 in 1,585 non-squares.  The screens are built
 lazily, per exponent, and stay small: at most a few dozen residues per
-modulus.
+modulus.  is_perfect_power walks them from one flat plan over the
+primes, built from those screens for twice the bit length that outgrew
+it, so a value pays a residue and a set lookup per prime exponent and
+no call.  The plan, like the prime cache, is replaced whole when it
+grows, never extended in place, so a reader never sees part of one.
 """
 
 from __future__ import annotations
@@ -207,18 +211,21 @@ def _primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-_PRIME_CACHE: list[int] = []
-_PRIME_LIMIT = 0  # _PRIME_CACHE holds every prime <= _PRIME_LIMIT
+# (limit, every prime <= limit), published as one object: a caller that
+# reads it while a sieve runs sees the old limit with the old list
+_PRIMES: tuple[int, list[int]] = (0, [])
 
 
 def prime_exponents_up_to(limit: int) -> list[int]:
     """Primes <= limit, cached monotonically (candidate exponents)."""
-    global _PRIME_CACHE, _PRIME_LIMIT
-    if limit > _PRIME_LIMIT:
+    global _PRIMES
+    covered, primes = _PRIMES
+    if limit > covered:
         # sieve past the limit so a slowly growing limit rarely re-sieves
-        _PRIME_LIMIT = max(2 * limit, 64)
-        _PRIME_CACHE = _primes_up_to(_PRIME_LIMIT)
-    return _PRIME_CACHE[: bisect.bisect_right(_PRIME_CACHE, limit)]
+        covered = max(2 * limit, 64)
+        primes = _primes_up_to(covered)
+        _PRIMES = (covered, primes)
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 class PowerWitness(collections.namedtuple("PowerWitness", "base exponent")):
@@ -286,6 +293,28 @@ def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     return tuple((m, _power_residues(q, m)) for m in moduli)
 
 
+# is_perfect_power's screen plan: (bits, steps), where steps holds
+# (q, first modulus, its residues, the later (modulus, residues) pairs)
+# for every prime q <= bits, ascending, read off _screens(q).  A growth
+# builds a new tuple and rebinds the name, never extends one in place, so
+# two interleaved growers can at worst publish the smaller of two whole
+# plans, never one with an exponent missing or out of place; each grower
+# walks the plan it built, which covers its own v.
+_PLAN: tuple[int, tuple[tuple, ...]] = (0, ())
+
+
+def _grow_plan(bits: int) -> tuple[int, tuple[tuple, ...]]:
+    global _PLAN
+    # past bits, as the prime cache is, so a slowly growing v rarely grows it
+    covered = max(2 * bits, 64)
+    steps = []
+    for q in prime_exponents_up_to(covered):
+        (m, residues), *rest = _screens(q)
+        steps.append((q, m, residues, tuple(rest)))
+    plan = _PLAN = (covered, tuple(steps))
+    return plan
+
+
 def is_perfect_power(v: int) -> PowerWitness | None:
     """Some (base, exponent >= 2) with base**exponent == v, else None.
 
@@ -301,19 +330,33 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     root; the answer is the one :func:`_is_perfect_power_oracle` gives,
     with far fewer than one exact root per value on average instead of
     one per prime up to bit_length(v).
+
+    The screens are walked from one flat plan, a tuple over the primes
+    ascending of (q, first modulus, its residues, the later moduli), so
+    a q costs a residue and a set lookup, and the later moduli only
+    when v passes the first.  The plan is built from :func:`_screens`
+    for every prime up to twice the bit length that outgrew it and
+    published whole; the walk stops at the first q > bit_length(v).
     """
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)
     if v in (0, 1):
         return PowerWitness(base=v, exponent=2)
-    for q in prime_exponents_up_to(v.bit_length()):
-        for m, residues in _screens(q):
-            if v % m not in residues:
-                break  # v is no q-th power
-        else:
-            root, exact = floor_kth_root(v, q)
-            if exact:
-                return PowerWitness(base=root, exponent=q)
+    bits = v.bit_length()
+    plan = _PLAN
+    if plan[0] < bits:
+        plan = _grow_plan(bits)
+    for q, m, residues, rest in plan[1]:
+        if q > bits:
+            break
+        if v % m in residues:
+            for m, residues in rest:
+                if v % m not in residues:
+                    break  # v is no q-th power
+            else:
+                root, exact = floor_kth_root(v, q)
+                if exact:
+                    return PowerWitness(base=root, exponent=q)
     return None
 
 

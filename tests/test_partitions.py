@@ -171,6 +171,16 @@ def test_membership_out_of_range(table_small):
     assert top.index == 120
 
 
+def test_membership_at_n_max_0_and_1():
+    # p(0) alone holds no n >= 1, so it cannot decide 1 or anything above
+    for v in (1, 2):
+        assert is_partition_number(build_table(0), v) == (None, True)
+    assert is_partition_number(build_table(0), 0) == (None, False)
+    # p(0..1) = 1, 1: 1 is p(1), and 2 lies past p(1)
+    assert is_partition_number(build_table(1), 1) == (1, False)
+    assert is_partition_number(build_table(1), 2) == (None, True)
+
+
 def test_save_load_round_trip(tmp_path, table_small):
     path = tmp_path / "table.txt"
     save_table(table_small, path)

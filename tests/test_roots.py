@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import partgap.roots
 from partgap.roots import (
     _SCREEN_MODULI,
     _SCREEN_TARGET,
@@ -196,6 +199,27 @@ def test_prime_exponents_grow_and_shrink():
     assert prime_exponents_up_to(600)[-1] == 599
     assert prime_exponents_up_to(288)[-1] == 283
     assert prime_exponents_up_to(2) == [2]
+
+
+def test_prime_exponents_read_mid_sieve_see_a_whole_cache(monkeypatch):
+    # a caller that reads the cache while another sieves it (here the
+    # sieve itself, re-entrant) must get every prime up to its limit,
+    # not a slice of the old, shorter list
+    monkeypatch.setattr(partgap.roots, "_PRIMES", (0, []))
+    sieve = partgap.roots._primes_up_to
+    inner = []
+
+    def reentrant(limit):
+        if not inner:
+            inner.append(None)  # before the call, which sieves again
+            inner[0] = prime_exponents_up_to(300)
+        return sieve(limit)
+
+    assert prime_exponents_up_to(100)[-1] == 97
+    monkeypatch.setattr(partgap.roots, "_primes_up_to", reentrant)
+    assert prime_exponents_up_to(300)[-1] == 293
+    assert inner[0][-1] == 293
+    assert inner[0] == prime_exponents_up_to(300) == sieve(300)
 
 
 def bisection_root(v, k):
@@ -425,6 +449,94 @@ def test_screened_power_test_matches_oracle_at_residue_zero(q, data, c, e):
     for v in (m * c, (m * c) ** e, (m * c) ** q):
         assert v % m == 0
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+
+
+def plan_exponents():
+    covered, steps = partgap.roots._PLAN
+    return covered, [q for q, *_ in steps]
+
+
+def test_plan_holds_every_prime_up_to_its_bits(monkeypatch):
+    # from no plan, ascending: 2^q has bit length q + 1, so each q is
+    # read at the edge of some plan, among them the last prime of one
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    for q in PRIMES_TO_200:
+        assert is_perfect_power(2**q) == (2, q)
+        for v in (2**q - 1, 2**q + 1):
+            assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+        covered, exponents = plan_exponents()
+        assert exponents == prime_exponents_up_to(covered)
+        assert covered >= q + 1
+
+
+@pytest.mark.parametrize("small", [2, 10**6 + 3, 3**40])
+def test_power_test_matches_oracle_across_a_plan_growth(monkeypatch, small):
+    # a small value builds a short plan; y^q with q past its primes grows it
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    assert is_perfect_power(small) == _is_perfect_power_oracle(small)
+    covered, _ = plan_exponents()
+    q = prime_exponents_up_to(2 * covered)[-1]
+    assert q > covered
+    for v in (3**q, 3**q - 1, 3**q + 1, 6**q, small):
+        assert is_perfect_power(v) == _is_perfect_power_oracle(v)
+    assert is_perfect_power(3**q) == (3, q)
+    covered, exponents = plan_exponents()
+    assert exponents == prime_exponents_up_to(covered)
+
+
+def test_interleaved_plan_growths_publish_a_whole_plan(monkeypatch):
+    # a growth that starts another (a re-entrant call, as a second thread
+    # could) part way through must leave a plan with every prime up to
+    # its bits, once and in order
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    assert is_perfect_power(2**41) == (2, 41)
+    covered, _ = plan_exponents()
+    screens = partgap.roots._screens
+    inner = []
+
+    def reentrant(q):
+        if q > covered and not inner:
+            inner.append(None)  # before the call, which grows again
+            inner[0] = is_perfect_power(7**523)
+        return screens(q)
+
+    monkeypatch.setattr(partgap.roots, "_screens", reentrant)
+    assert is_perfect_power(5**67) == (5, 67)
+    assert inner == [(7, 523)]
+    covered, exponents = plan_exponents()
+    assert exponents == prime_exponents_up_to(covered)
+    for q in (67, 131, 523, 1031):
+        if q <= covered:
+            assert is_perfect_power(2**q) == (2, q)
+    assert is_perfect_power(7**523) == (7, 523)
+
+
+def test_threads_growing_the_plan_agree_with_the_oracle(monkeypatch):
+    # more threads than cores, switching often, each growing the plan and
+    # the prime cache from nothing as its values ascend: every answer and
+    # the plan left behind must be whole
+    values = sorted(v for q in prime_exponents_up_to(300) for v in (3**q, 3**q + 1, 7**q))
+    expected = [_is_perfect_power_oracle(v) for v in values]
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    monkeypatch.setattr(partgap.roots, "_PRIMES", (0, []))
+    answers = []
+    threads = [
+        threading.Thread(target=lambda: answers.append([is_perfect_power(v) for v in values]))
+        for _ in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert answers == [expected] * 4
+    covered, exponents = plan_exponents()
+    assert exponents == prime_exponents_up_to(covered)
 
 
 def test_screened_power_test_below_the_modulus():
