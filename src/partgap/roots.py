@@ -27,10 +27,11 @@ all with probability at most 1/10000, or eight of them; q = 2 stops at
 eight and passes about 1 in 1,585 non-squares.  The screens are built
 lazily, per exponent, and stay small: at most a few dozen residues per
 modulus.  is_perfect_power walks them from one flat plan over the
-primes, built from those screens for twice the bit length that outgrew
-it, so a value pays a residue and a set lookup per prime exponent and
-no call.  The plan, like the prime cache, is replaced whole when it
-grows, never extended in place, so a reader never sees part of one.
+primes up to the largest bit length it has met, so a value pays a
+residue and a set lookup per prime exponent and no call.  A longer
+value grows the plan by the screens of the primes it adds; the plan,
+like the prime cache, is replaced whole when it grows, never extended
+in place, so a reader never sees part of one.
 """
 
 from __future__ import annotations
@@ -305,13 +306,14 @@ _PLAN: tuple[int, tuple[tuple, ...]] = (0, ())
 
 def _grow_plan(bits: int) -> tuple[int, tuple[tuple, ...]]:
     global _PLAN
-    # past bits, as the prime cache is, so a slowly growing v rarely grows it
-    covered = max(2 * bits, 64)
-    steps = []
-    for q in prime_exponents_up_to(covered):
-        (m, residues), *rest = _screens(q)
-        steps.append((q, m, residues, tuple(rest)))
-    plan = _PLAN = (covered, tuple(steps))
+    covered, steps = plan = _PLAN
+    if covered < bits:
+        # only the primes the plan lacks get their screens read
+        added = []
+        for q in prime_exponents_up_to(bits)[len(steps) :]:
+            (m, residues), *rest = _screens(q)
+            added.append((q, m, residues, tuple(rest)))
+        plan = _PLAN = (bits, steps + tuple(added))
     return plan
 
 
@@ -334,9 +336,11 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     The screens are walked from one flat plan, a tuple over the primes
     ascending of (q, first modulus, its residues, the later moduli), so
     a q costs a residue and a set lookup, and the later moduli only
-    when v passes the first.  The plan is built from :func:`_screens`
-    for every prime up to twice the bit length that outgrew it and
-    published whole; the walk stops at the first q > bit_length(v).
+    when v passes the first.  The plan holds every prime up to the
+    largest bit length met so far; a longer v adds the screens of the
+    primes up to its own bit length, from :func:`_screens`, and
+    publishes the plan whole.  The walk stops at the first
+    q > bit_length(v).
     """
     if v < 0:
         raise ValueError("v must be >= 0, got %d" % v)

@@ -26,15 +26,9 @@ every a with q^a < v.  The search walks the surviving bits in ascending
 order and stops at the first q^a >= v, so isqrt runs on the same (q, a)
 pairs as a pair-by-pair screen, about 1 in 120, and the witnesses and
 their order are those of the unscreened :func:`_witness_search_oracle`.
-The search reads one flat plan, a tuple over the 25 primes of
-(q, bit_length(q) - 1, the six mask lists), so a q costs six lookups
-and no call.  The plan is built on first use for twice the bit length
-of v, and built again, all q at once and at least twice as long, when
-a larger v needs more exponents; it is replaced whole, never extended
-in place.  A build for 580 bits takes about 3 ms and 0.16 MiB, and
-coverage_scan over perfbench's power-scan windows of seeds 1 and 2
-takes 7-10 ms in a fresh process, the build included
-(``BENCH_plan.json``).
+The masks are built on first use per q and lengthened (at least
+doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
+for the 25 primes.
 
 The direct scan runs column-wise over the open n, sorted by value
 once: each prime exponent q, ascending, picks its candidates by the
@@ -104,12 +98,9 @@ class CoverageWitness(collections.namedtuple("CoverageWitness", "n x prime expon
 
 # Moduli of the square screen: 64 and the CRT factors of 45045.
 _SQUARE_MODULI = (64, 9, 5, 7, 11, 13)
-# _witness_search's plan: (bits, steps), where steps holds, per prime q
-# below 100 ascending, (q, q.bit_length() - 1, the six mask lists of
-# _witness_masks), the masks long enough for every v of at most bits
-# bits.  Like roots._PLAN it is rebuilt whole and rebound, never
-# extended in place.
-_PLAN: tuple[int, tuple[tuple, ...]] = (0, ())
+# q -> (length, one list per modulus of the exponent masks by residue),
+# filled on first use and lengthened when a larger v needs more exponents
+_MASKS: dict[int, tuple[int, tuple[list[int], ...]]] = {}
 
 
 def _witness_masks(q: int, length: int) -> tuple[list[int], ...]:
@@ -121,6 +112,11 @@ def _witness_masks(q: int, length: int) -> tuple[list[int], ...]:
     only when q divides m) and then a period; the masks of one period
     are built bit by bit and repeated by a repunit multiplication.
     """
+    entry = _MASKS.get(q)
+    if entry is not None and entry[0] >= length:
+        return entry[1]
+    # at least double, so a scan of growing values rebuilds rarely
+    length = max(length, 2 * entry[0] if entry else 64)
     tables = []
     for m in _SQUARE_MODULI:
         squares = {x * x % m for x in range(m // 2 + 1)}
@@ -140,20 +136,8 @@ def _witness_masks(q: int, length: int) -> tuple[list[int], ...]:
         reps = -(-(length - head) // period)
         repunit = ((1 << (period * reps)) - 1) // ((1 << period) - 1)
         tables.append([h | (c * repunit) << (head + 1) for h, c in zip(head_rows, period_rows)])
+    _MASKS[q] = (length, tuple(tables))
     return tuple(tables)
-
-
-def _grow_plan(bits: int) -> tuple[int, tuple[tuple, ...]]:
-    global _PLAN
-    # twice the bits that outgrew the plan, so at least double it: a scan
-    # of growing values rebuilds rarely
-    covered = max(2 * bits, 64)
-    steps = tuple(
-        (q, q.bit_length() - 1, *_witness_masks(q, covered // (q.bit_length() - 1)))
-        for q in PRIMES_UNDER_100
-    )
-    plan = _PLAN = (covered, steps)
-    return plan
 
 
 def _witness_search(v: int):
@@ -164,11 +148,9 @@ def _witness_search(v: int):
     r64, r45045 = v % 64, v % 45045
     r9, r5, r7, r11, r13 = r45045 % 9, r45045 % 5, r45045 % 7, r45045 % 11, r45045 % 13
     bits = v.bit_length()
-    plan = _PLAN
-    if plan[0] < bits:
-        plan = _grow_plan(bits)
-    for q, shift, t64, t9, t5, t7, t11, t13 in plan[1]:
-        top = bits // shift
+    for q in PRIMES_UNDER_100:
+        top = bits // (q.bit_length() - 1)
+        t64, t9, t5, t7, t11, t13 = _witness_masks(q, top)
         mask = (
             t64[r64] & t9[r9] & t5[r5] & t7[r7] & t11[r11] & t13[r13]
             & ((2 << top) - 1)

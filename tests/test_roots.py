@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 import tracemalloc
 
 import pytest
@@ -509,34 +507,6 @@ def test_interleaved_plan_growths_publish_a_whole_plan(monkeypatch):
         if q <= covered:
             assert is_perfect_power(2**q) == (2, q)
     assert is_perfect_power(7**523) == (7, 523)
-
-
-def test_threads_growing_the_plan_agree_with_the_oracle(monkeypatch):
-    # more threads than cores, switching often, each growing the plan and
-    # the prime cache from nothing as its values ascend: every answer and
-    # the plan left behind must be whole
-    values = sorted(v for q in prime_exponents_up_to(300) for v in (3**q, 3**q + 1, 7**q))
-    expected = [_is_perfect_power_oracle(v) for v in values]
-    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
-    monkeypatch.setattr(partgap.roots, "_PRIMES", (0, []))
-    answers = []
-    threads = [
-        threading.Thread(target=lambda: answers.append([is_perfect_power(v) for v in values]))
-        for _ in range(4)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert answers == [expected] * 4
-    covered, exponents = plan_exponents()
-    assert exponents == prime_exponents_up_to(covered)
 
 
 def test_screened_power_test_below_the_modulus():

@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -279,13 +277,14 @@ def test_screened_witnesses_match_oracle_on_partition_numbers(table_mid):
 @pytest.mark.parametrize("m", (64, 9, 5, 7, 11, 13))
 def test_witness_mask_bits(q, m):
     # preperiod and period of q^a mod m, then bit a of the mask at
-    # residue r, through the preperiod and two periods: is r - q^a a
-    # square mod m?
+    # residue r, up to the length the masks claim: is r - q^a a square
+    # mod m?
     powers = [q**a % m for a in range(1, 2 * m + 2)]
     head = next(i for i in range(m) if powers[i] in powers[i + 1 :])
     period = powers[head + 1 :].index(powers[head]) + 1
-    top = head + 2 * period
-    tables = _witness_masks(q, top)
+    tables = _witness_masks(q, head + 2 * period)
+    top = partgap.witnesses._MASKS[q][0]
+    assert top >= head + 2 * period
     rows = tables[partgap.witnesses._SQUARE_MODULI.index(m)]
     squares = {x * x % m for x in range(m)}
     assert len(rows) == m
@@ -319,45 +318,13 @@ def witness_probes(draw):
 @given(witness_probes(), witness_probes())
 @settings(max_examples=300, deadline=None)
 def test_witness_masks_grow_and_match_oracle(v, w):
-    # start from no plan, search the smaller value, then the larger: the
-    # masks are first built short and then lengthened, all q at once
-    partgap.witnesses._PLAN = (0, ())
+    # start from no masks, search the smaller value, then the larger:
+    # the masks are first built short and then lengthened
+    partgap.witnesses._MASKS.clear()
     small, large = sorted((v, w))
     for u in (small, large, small):
         assert list(_witness_search(u)) == list(_witness_search_oracle(u))
-    covered, steps = partgap.witnesses._PLAN
-    assert covered >= large.bit_length()
-    assert [q for q, *_ in steps] == list(PRIMES_UNDER_100)
-
-
-def test_threads_growing_the_witness_plan_agree_with_the_oracle(monkeypatch):
-    # more threads than cores, switching often, each growing the plan from
-    # nothing as its values ascend: every search must match the oracle
-    rng = random.Random(11)
-    values = [rng.getrandbits(bits) | 1 << bits for bits in range(8, 700, 7)]
-    values += [v + 1 for v in values]
-    values.sort()
-    expected = [list(_witness_search_oracle(v)) for v in values]
-    monkeypatch.setattr(partgap.witnesses, "_PLAN", (0, ()))
-    found = []
-    threads = [
-        threading.Thread(target=lambda: found.append([list(_witness_search(v)) for v in values]))
-        for _ in range(4)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert found == [expected] * 4
-    covered, steps = partgap.witnesses._PLAN
-    assert covered >= values[-1].bit_length()
-    assert [q for q, *_ in steps] == list(PRIMES_UNDER_100)
+    assert partgap.witnesses._MASKS[2][0] >= large.bit_length()
 
 
 def column_scan_table():
