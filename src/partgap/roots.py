@@ -26,19 +26,20 @@ would have failed.  Each q takes moduli until a non-power passes them
 all with probability at most 1/10000, or eight of them; q = 2 stops at
 eight and passes about 1 in 1,585 non-squares.  The screens are built
 lazily, per exponent, and stay small: at most a few dozen residues per
-modulus.  is_perfect_power walks them from one flat plan over the
-primes up to the largest bit length it has met, so a value pays a
-residue and a set lookup per prime exponent and no call.  A longer
-value grows the plan by the screens of the primes it adds; the plan,
-like the prime cache, is replaced whole when it grows, never extended
-in place, so a reader never sees part of one.
+modulus.  They live in one flat plan over the primes up to the largest
+bit length met so far, the module's one cache: is_perfect_power walks
+it, so a value pays a residue and a set lookup per prime exponent and
+no call, and witnesses.perfect_power_scan reads its exponents and
+screens from it.  A longer value grows the plan by the screens of the
+primes it adds, found by trial division; the plan is replaced whole
+when it grows, never extended in place, so a reader never sees part of
+one.
 """
 
 from __future__ import annotations
 
 import bisect
 import collections
-import functools
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -201,32 +202,12 @@ def _power_neighbours(
         yield from range(start, lo)
 
 
-def _primes_up_to(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
-
-
-# (limit, every prime <= limit), published as one object: a caller that
-# reads it while a sieve runs sees the old limit with the old list
-_PRIMES: tuple[int, list[int]] = (0, [])
-
-
-def prime_exponents_up_to(limit: int) -> list[int]:
-    """Primes <= limit, cached monotonically (candidate exponents)."""
-    global _PRIMES
-    covered, primes = _PRIMES
-    if limit > covered:
-        # sieve past the limit so a slowly growing limit rarely re-sieves
-        covered = max(2 * limit, 64)
-        primes = _primes_up_to(covered)
-        _PRIMES = (covered, primes)
-    return primes[: bisect.bisect_right(primes, limit)]
+def _is_prime(m: int) -> bool:
+    # trial division by 2 and the odd numbers up to sqrt(m), for the
+    # plan's exponents, the oracle's and the screens' moduli
+    if m % 2 == 0:
+        return m == 2
+    return m > 1 and all(m % f for f in range(3, math.isqrt(m) + 1, 2))
 
 
 class PowerWitness(collections.namedtuple("PowerWitness", "base exponent")):
@@ -266,7 +247,6 @@ _SCREEN_TARGET = 10_000
 _SCREEN_MODULI = 8
 
 
-@functools.cache
 def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     """(modulus, q-th-power residues) pairs that every q-th power passes.
 
@@ -279,7 +259,8 @@ def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     rates multiply to at most 1/_SCREEN_TARGET or there are
     _SCREEN_MODULI of them.  A prime l passes (l - 1)/q + 1 of its l
     residues.  So q = 2 screens modulo 64, 63, 65, 11, 17, 19, 23 and
-    29, and passes about 1 non-square in 1,585.
+    29, and passes about 1 non-square in 1,585.  Not cached: the plan
+    reads each q's screens once, when it first reaches q.
     """
     moduli, m, step = ([64, 63, 65, 11], 15, 2) if q == 2 else ([], 1, 2 * q)
     # the product of the pass rates, passed/total
@@ -287,20 +268,21 @@ def _screens(q: int) -> tuple[tuple[int, frozenset[int]], ...]:
     total = math.prod(moduli)
     while len(moduli) < _SCREEN_MODULI and passed * _SCREEN_TARGET > total:
         m += step  # m stays odd, and = 1 (mod q) for an odd q
-        if all(m % f for f in range(3, math.isqrt(m) + 1, 2)):
+        if _is_prime(m):
             moduli.append(m)
             passed *= (m - 1) // q + 1
             total *= m
     return tuple((m, _power_residues(q, m)) for m in moduli)
 
 
-# is_perfect_power's screen plan: (bits, steps), where steps holds
-# (q, first modulus, its residues, the later (modulus, residues) pairs)
-# for every prime q <= bits, ascending, read off _screens(q).  A growth
-# builds a new tuple and rebinds the name, never extends one in place, so
-# two interleaved growers can at worst publish the smaller of two whole
-# plans, never one with an exponent missing or out of place; each grower
-# walks the plan it built, which covers its own v.
+# The screen plan, the module's one cache: (bits, steps), where steps
+# holds (q, first modulus, its residues, the later (modulus, residues)
+# pairs) for every prime q <= bits, ascending, read off _screens(q).
+# is_perfect_power and witnesses.perfect_power_scan both walk it.  A
+# growth builds a new tuple and rebinds the name, never extends one in
+# place, so two interleaved growers can at worst publish the smaller of
+# two whole plans, never one with an exponent missing or out of place;
+# each grower walks the plan it built, which covers its own bits.
 _PLAN: tuple[int, tuple[tuple, ...]] = (0, ())
 
 
@@ -308,9 +290,9 @@ def _grow_plan(bits: int) -> tuple[int, tuple[tuple, ...]]:
     global _PLAN
     covered, steps = plan = _PLAN
     if covered < bits:
-        # only the primes the plan lacks get their screens read
+        # only the primes the plan lacks get their screens built
         added = []
-        for q in prime_exponents_up_to(bits)[len(steps) :]:
+        for q in filter(_is_prime, range(covered + 1, bits + 1)):
             (m, residues), *rest = _screens(q)
             added.append((q, m, residues, tuple(rest)))
         plan = _PLAN = (bits, steps + tuple(added))
@@ -337,9 +319,9 @@ def is_perfect_power(v: int) -> PowerWitness | None:
     ascending of (q, first modulus, its residues, the later moduli), so
     a q costs a residue and a set lookup, and the later moduli only
     when v passes the first.  The plan holds every prime up to the
-    largest bit length met so far; a longer v adds the screens of the
-    primes up to its own bit length, from :func:`_screens`, and
-    publishes the plan whole.  The walk stops at the first
+    largest bit length met so far; a longer v adds the primes past it up
+    to its own bit length, each with the screens :func:`_screens` builds
+    for it, and publishes the plan whole.  The walk stops at the first
     q > bit_length(v).
     """
     if v < 0:
@@ -372,7 +354,7 @@ def _is_perfect_power_oracle(v: int) -> PowerWitness | None:
         raise ValueError("v must be >= 0, got %d" % v)
     if v in (0, 1):
         return PowerWitness(base=v, exponent=2)
-    for q in prime_exponents_up_to(v.bit_length()):
+    for q in filter(_is_prime, range(2, v.bit_length() + 1)):
         root, exact = floor_kth_root(v, q)
         if exact:
             return PowerWitness(base=root, exponent=q)

@@ -31,10 +31,12 @@ doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
 for the 25 primes.
 
 The direct scan runs column-wise over the open n, sorted by value
-once: each prime exponent q, ascending, picks its candidates by the
-cheaper of two paths.  While the bases y <= Y = floor(max open
-value^(1/q)) are many, every open n passes the residue screens of
-:func:`partgap.roots.is_perfect_power`, one comprehension per screen.
+once.  It walks the screen plan of :mod:`partgap.roots`, the one that
+:func:`partgap.roots.is_perfect_power` walks, grown to the largest
+bit length: each prime exponent q, ascending, picks its candidates by
+the cheaper of two paths.  While the bases y <= Y = floor(max open
+value^(1/q)) are many, every open n passes q's residue screens from
+the plan, one comprehension per screen.
 Once ten times Y is below the number of open n, listing y^q for
 y = 1..Y and bisecting the sorted values for each
 (:func:`partgap.roots._power_neighbours` at d_cap 0) costs less and
@@ -66,11 +68,11 @@ from .partitions import (
 )
 from .roots import (
     PowerWitness,
+    _grow_plan,
     _power_neighbours,
-    _screens,
+    _power_residues,
     floor_kth_root,
     is_perfect_power,
-    prime_exponents_up_to,
 )
 
 PRIMES_UNDER_100 = (
@@ -119,7 +121,7 @@ def _witness_masks(q: int, length: int) -> tuple[list[int], ...]:
     length = max(length, 2 * entry[0] if entry else 64)
     tables = []
     for m in _SQUARE_MODULI:
-        squares = {x * x % m for x in range(m // 2 + 1)}
+        squares = _power_residues(2, m)
         seen: dict[int, int] = {}  # q^a mod m -> a - 1, until one repeats
         p = q % m
         while p not in seen:
@@ -401,13 +403,14 @@ def perfect_power_scan(
 
     The table need not be ascending: the open n (p(n) >= 2) are sorted
     by value once.  Each prime q up to the largest bit length, ascending,
-    drops the open p(n) below 2^q, which no y^q with y >= 2 reaches, and
-    takes Y = floor(max open p(n)^(1/q)).  When _LIST_COST * Y is below
-    the number of open n, the candidates are the open p(n) equal to some
+    as the screen plan of :mod:`partgap.roots` lists it, drops the open
+    p(n) below 2^q, which no y^q with y >= 2 reaches, and takes
+    Y = floor(max open p(n)^(1/q)).  When _LIST_COST * Y is below the
+    number of open n, the candidates are the open p(n) equal to some
     y^q, y <= Y, found by bisection; otherwise they are the open p(n)
-    that pass the q-th-power residue screens of
-    :func:`partgap.roots.is_perfect_power`.  Both paths keep every open
-    q-th power, so after the exact roots of the candidates the hits and
+    that pass q's residue screens in that plan, the ones
+    :func:`partgap.roots.is_perfect_power` walks.  Both paths keep every
+    open q-th power, so after the exact roots of the candidates the hits and
     witnesses are those of :func:`partgap.roots._is_perfect_power_oracle`
     value by value: the first exact root of n is kept, and a later q
     that roots n again leaves the smallest prime exponent's witness.
@@ -430,18 +433,18 @@ def perfect_power_scan(
     candidates.sort(key=vals.__getitem__)
     open_vals = [vals[n] for n in candidates]
     top = open_vals[-1].bit_length() if candidates else 0
-    for q in prime_exponents_up_to(top):
+    for q, m, residues, rest in _grow_plan(top)[1]:
         cut = bisect.bisect_left(open_vals, 1 << q)  # p(n) < 2^q is no q-th power
         del candidates[:cut], open_vals[:cut]
         if not candidates:
-            break
+            break  # at the first prime q >= top, in a plan grown past it
         bases = floor_kth_root(open_vals[-1], q).root
         if _LIST_COST * bases < len(candidates):
             listed = _power_neighbours(open_vals, q, 0, 0, len(open_vals) - 1, bases)
             survivors = [candidates[i] for i in listed]
         else:
             survivors = candidates
-            for m, residues in _screens(q):
+            for m, residues in ((m, residues), *rest):
                 survivors = [n for n in survivors if vals[n] % m in residues]
         for n in survivors:
             root, exact = floor_kth_root(vals[n], q)

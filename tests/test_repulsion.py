@@ -35,7 +35,6 @@ from partgap.roots import (
     _power_neighbours,
     floor_kth_root,
     nearest_power_distance,
-    prime_exponents_up_to,
 )
 
 D_SAMPLES = (0, 1, 2, 5, 6, 7, 21, 22, 100, 950)
@@ -573,7 +572,11 @@ def test_composite_k_bracket_their_divisor_events(monkeypatch):
 
 
 def primes_between(lo, hi):
-    return {k for k in prime_exponents_up_to(hi) if k >= lo}
+    # by the sieve of Eratosthenes, sharing nothing with roots.py
+    composite = set()
+    for i in range(2, math.isqrt(hi) + 1):
+        composite.update(range(i * i, hi + 1, i))
+    return set(range(max(lo, 2), hi + 1)) - composite
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,29 @@ from partgap.roots import (
     _SCREEN_TARGET,
     _SEED_BITS,
     _bracket,
+    _grow_plan,
     _is_perfect_power_oracle,
+    _is_prime,
     _power_neighbours,
     _screens,
     floor_kth_root,
     is_perfect_power,
     nearest_power_distance,
-    prime_exponents_up_to,
 )
 
-PRIMES_TO_200 = prime_exponents_up_to(200)
+
+def sieve_primes(limit):
+    # the primes <= limit by the sieve of Eratosthenes, sharing nothing
+    # with roots.py, whose one prime test feeds the plan and the oracle
+    composite = [False] * (limit + 1)
+    for i in range(2, math.isqrt(limit) + 1):
+        if not composite[i]:
+            for j in range(i * i, limit + 1, i):
+                composite[j] = True
+    return [i for i in range(2, limit + 1) if not composite[i]]
+
+
+PRIMES_TO_200 = sieve_primes(200)
 
 
 def brute_floor_root(v, k):
@@ -187,37 +200,29 @@ def test_perfect_power_finds_constructed(m, e):
     assert w.base**w.exponent == m**e
 
 
-def test_prime_exponents():
-    assert prime_exponents_up_to(1) == []
-    assert prime_exponents_up_to(12) == [2, 3, 5, 7, 11]
-    assert prime_exponents_up_to(200)[-1] == 199
+def test_is_prime_matches_a_sieve():
+    assert list(filter(_is_prime, range(5001))) == sieve_primes(5000)
 
 
-def test_prime_exponents_grow_and_shrink():
-    assert prime_exponents_up_to(600)[-1] == 599
-    assert prime_exponents_up_to(288)[-1] == 283
-    assert prime_exponents_up_to(2) == [2]
+def test_prime_exponents(monkeypatch):
+    # a plan grown from none lists every prime up to its bits
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    for bits in (1, 12, 200):
+        _grow_plan(bits)
+        assert plan_exponents() == (bits, sieve_primes(bits))
+    assert plan_exponents()[1][:5] == [2, 3, 5, 7, 11]
 
 
-def test_prime_exponents_read_mid_sieve_see_a_whole_cache(monkeypatch):
-    # a caller that reads the cache while another sieves it (here the
-    # sieve itself, re-entrant) must get every prime up to its limit,
-    # not a slice of the old, shorter list
-    monkeypatch.setattr(partgap.roots, "_PRIMES", (0, []))
-    sieve = partgap.roots._primes_up_to
-    inner = []
-
-    def reentrant(limit):
-        if not inner:
-            inner.append(None)  # before the call, which sieves again
-            inner[0] = prime_exponents_up_to(300)
-        return sieve(limit)
-
-    assert prime_exponents_up_to(100)[-1] == 97
-    monkeypatch.setattr(partgap.roots, "_primes_up_to", reentrant)
-    assert prime_exponents_up_to(300)[-1] == 293
-    assert inner[0][-1] == 293
-    assert inner[0] == prime_exponents_up_to(300) == sieve(300)
+def test_prime_exponents_grow_and_shrink(monkeypatch):
+    # a plan never shrinks: a shorter value walks the longer plan up to
+    # its own bit length
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    assert is_perfect_power(2**599) == (2, 599)
+    assert plan_exponents() == (600, sieve_primes(600))
+    assert is_perfect_power(3**283) == (3, 283)
+    assert is_perfect_power(2**283 + 1) is None
+    assert _grow_plan(2) is partgap.roots._PLAN
+    assert plan_exponents() == (600, sieve_primes(600))
 
 
 def bisection_root(v, k):
@@ -463,7 +468,7 @@ def test_plan_holds_every_prime_up_to_its_bits(monkeypatch):
         for v in (2**q - 1, 2**q + 1):
             assert is_perfect_power(v) == _is_perfect_power_oracle(v)
         covered, exponents = plan_exponents()
-        assert exponents == prime_exponents_up_to(covered)
+        assert exponents == sieve_primes(covered)
         assert covered >= q + 1
 
 
@@ -473,13 +478,13 @@ def test_power_test_matches_oracle_across_a_plan_growth(monkeypatch, small):
     monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
     assert is_perfect_power(small) == _is_perfect_power_oracle(small)
     covered, _ = plan_exponents()
-    q = prime_exponents_up_to(2 * covered)[-1]
+    q = sieve_primes(2 * covered)[-1]
     assert q > covered
     for v in (3**q, 3**q - 1, 3**q + 1, 6**q, small):
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
     assert is_perfect_power(3**q) == (3, q)
     covered, exponents = plan_exponents()
-    assert exponents == prime_exponents_up_to(covered)
+    assert exponents == sieve_primes(covered)
 
 
 def test_interleaved_plan_growths_publish_a_whole_plan(monkeypatch):
@@ -502,7 +507,7 @@ def test_interleaved_plan_growths_publish_a_whole_plan(monkeypatch):
     assert is_perfect_power(5**67) == (5, 67)
     assert inner == [(7, 523)]
     covered, exponents = plan_exponents()
-    assert exponents == prime_exponents_up_to(covered)
+    assert exponents == sieve_primes(covered)
     for q in (67, 131, 523, 1031):
         if q <= covered:
             assert is_perfect_power(2**q) == (2, q)
@@ -513,7 +518,7 @@ def test_screened_power_test_below_the_modulus():
     # every v below the largest screen modulus of the small exponents,
     # and at least below 45045, whose residues the q = 2 moduli 63, 65
     # and 11 split by the CRT
-    top = max(45045, *(m for q in prime_exponents_up_to(40) for m, _ in _screens(q)))
+    top = max(45045, *(m for q in sieve_primes(40) for m, _ in _screens(q)))
     for v in range(0, top):
         assert is_perfect_power(v) == _is_perfect_power_oracle(v)
 

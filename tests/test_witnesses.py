@@ -403,6 +403,47 @@ def test_listing_scan_matches_oracle(monkeypatch):
     assert {61, 67, 97, 101} <= set(listed) and 2 not in listed
 
 
+def plan_scan_table():
+    # 3000 random values of 40 to 200 bits, shuffled together with powers
+    # at screened q (2, 3, 5), at listed q (31, 37), and their neighbours
+    rng = random.Random(33)
+    values = [rng.getrandbits(rng.randrange(40, 201)) for _ in range(3000)]
+    for q, bases in ((2, (3, 10**30, 2**99)), (3, (7, 10**20)), (5, (11, 10**12)),
+                     (31, (2, 3, 50)), (37, (5, 40))):
+        for y in bases:
+            values += [y**q, y**q - 1, y**q + 1]
+    rng.shuffle(values)
+    return PartitionTable(values=(1, 1) + tuple(values))
+
+
+@pytest.mark.parametrize("plan", ["empty", "grown"])
+def test_power_scan_walks_the_plan(monkeypatch, plan):
+    # from no plan, the scan grows one to the top bit length; from a
+    # plan past it, the scan stops at the first q above that length
+    listed = []
+
+    def recording(values, k, d_cap, lo, hi, bases):
+        listed.append(k)
+        return _power_neighbours(values, k, d_cap, lo, hi, bases)
+
+    monkeypatch.setattr(partgap.witnesses, "_power_neighbours", recording)
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    table = plan_scan_table()
+    top = max(table.values).bit_length()
+    if plan == "grown":
+        partgap.roots._grow_plan(top + 100)
+    want = [
+        (n, w)
+        for n in range(2, table.n_max + 1)
+        if (w := _is_perfect_power_oracle(table.values[n])) is not None
+    ]
+    assert perfect_power_scan(table) == want
+    assert {w.exponent for _, w in want} >= {2, 3, 5, 31, 37}
+    assert {31, 37} <= set(listed) and not {2, 3, 5} & set(listed)
+    assert max(listed) <= top
+    assert partgap.roots._PLAN[0] == (top if plan == "empty" else top + 100)
+
+
 def test_power_scan_roots_few_values(monkeypatch):
     # the screens leave almost only true powers: at n_max 6000 two
     # moduli per odd q left 2,233 exact roots, and 124 remain
