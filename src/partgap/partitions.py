@@ -35,11 +35,14 @@ class PartitionTable:
     range, build a new table, and to cover a shorter one pass a cut,
     ``PartitionTable(table.values[:n + 1])``.  ``values`` is a tuple so
     a table can be shared across threads and hashed fixtures without
-    defensive copies, and it holds p(0) at least.  ``n_max`` is
-    ``len(values) - 1``, derived once.  ``walks`` is a memo that the
-    :mod:`repulsion` threshold queries fill, k -> (ascending distances,
-    their n) of the record walk over this table.  It lives as long as
-    the table; the CLI keeps walks across processes in its cache
+    defensive copies, and it holds p(0) at least.  The values ascend,
+    p(0) <= p(1) <= ... <= p(n_max), as partition numbers do: the
+    constructor refuses a descent, so every reader may bisect them.
+    Ties pass: p(0) = p(1), and a synthetic table may repeat a value.
+    ``n_max`` is ``len(values) - 1``, derived once.  ``walks`` is a memo
+    that the :mod:`repulsion` threshold queries fill, k -> (ascending
+    distances, their n) of the record walk over this table.  It lives as
+    long as the table; the CLI keeps walks across processes in its cache
     directory (``repulsion.save_walk`` and ``load_walk``) and fills the
     memo from there.  Equality, hash and repr go by ``values`` alone.
     """
@@ -49,6 +52,9 @@ class PartitionTable:
     def __init__(self, values: tuple[int, ...]) -> None:
         if not values:
             raise ValueError("a table holds p(0) at least; values is empty")
+        if not all(map(operator.le, values, values[1:])):
+            n = next(n for n in range(1, len(values)) if values[n] < values[n - 1])
+            raise ValueError("a table ascends, but p(%d) < p(%d)" % (n, n - 1))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n_max", len(values) - 1)
         object.__setattr__(self, "walks", {})
@@ -206,7 +212,7 @@ class IndexLookup(collections.namedtuple("IndexLookup", "index out_of_range")):
 
 
 def is_partition_number(table: PartitionTable, v: int) -> IndexLookup:
-    """Binary-search v in the table (strictly increasing for n >= 1).
+    """Binary-search v in the table, which ascends.
 
     Returns the smallest n >= 1 with p(n) == v; p(0) = p(1) = 1, so a
     probe for 1 reports index 1.  Values above p(n_max) come back

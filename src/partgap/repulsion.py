@@ -139,10 +139,10 @@ def load_walk(path: str, table: PartitionTable, k: int) -> tuple[tuple[int, ...]
 
     The header must name this table's n_max and this k, and its count
     must match the records that follow.  The distances must rise
-    strictly from 0, the n strictly from at least 1 to n_max, and each
-    distance must equal the distance from p(n) to the nearest k-th
-    power (as :func:`nearest_power_distance` gives it), taken again on
-    ``table`` by the walk's own kernel.  That catches any one changed
+    strictly from 0, the n strictly from at least min(1, n_max) to
+    n_max, and each distance must equal the distance from p(n) to the
+    nearest k-th power (as :func:`nearest_power_distance` gives it),
+    taken again on ``table`` by the walk's own kernel.  That catches any one changed
     record and a file left from another table or k.  It cannot catch a
     record deleted together with a matching edit of the count: the rest
     still passes, and answers that record would have given change.
@@ -164,10 +164,10 @@ def load_walk(path: str, table: PartitionTable, k: int) -> tuple[tuple[int, ...]
         raise ValueError(
             "walk file %s: header says %d records but %d follow" % (path, count, len(ns))
         )
-    if not ns or dists[0] != 0 or ns[0] < 1 or ns[-1] != n_max:
+    if not ns or dists[0] != 0 or ns[0] < min(1, n_max) or ns[-1] != n_max:
         raise ValueError(
-            "walk file %s: records must run from distance 0 at n >= 1 up to n = %d"
-            % (path, n_max)
+            "walk file %s: records must run from distance 0 at n >= %d up to n = %d"
+            % (path, min(1, n_max), n_max)
         )
     for i in range(1, len(ns)):
         if dists[i] <= dists[i - 1] or ns[i] <= ns[i - 1]:
@@ -187,9 +187,10 @@ def m_k_d(table: PartitionTable, k: int, d: int) -> int:
     """Largest n in the table with p(n) within distance d of a k-th power.
 
     Always defined for d >= 0: p(1) = 1 is exactly 1^k, so the answer is
-    at least 1.  One bisect over the record walk in ``table.walks[k]``,
-    which the first query for k on a table, here or in
-    :func:`threshold_rows`, walks over the whole table.
+    at least 1, or 0 on a table of p(0) alone.  One bisect over the
+    record walk in ``table.walks[k]``, which the first query for k on a
+    table, here or in :func:`threshold_rows`, walks over the whole
+    table.
     """
     if d < 0:
         raise ValueError("d must be >= 0, got %d" % d)
@@ -236,10 +237,8 @@ def limit_L(table: PartitionTable, d: int) -> int:
 
     This is where every m_k_d series bottoms out: for n in this range,
     p(n) sits within d of the k-th power 1 for every k.  Requires
-    d < p(n_max) - 1 so the maximum is attained inside the table, and
-    p(1..n_max) ascending, as every built or loaded table is; one bisect
-    reads it, unchecked, and a table out of order gives a wrong answer
-    (:func:`near_power_events` checks, once per sweep).  The n_d family
+    d < p(n_max) - 1 so the maximum is attained inside the table; one
+    bisect over the ascending values reads it.  The n_d family
     makes the same two checks on d, in the same order, but never takes
     the bisect: its runs already account for limit_L.
     """
@@ -344,7 +343,8 @@ def _event_set(
             out[-1] = (out[-1][0], run[1], run[2])
         else:
             out.append(run)
-    events = sorted(e for group in by_k.values() for e in group)
+    # each k's list ascends in n: a stable sort on n keeps k ascending
+    events = sorted([e for k in sorted(by_k) for e in by_k[k]], key=itemgetter(0))
     return EventSet(table, d_cap, tuple(events), tuple(out))
 
 
@@ -449,10 +449,9 @@ def _screened(
 def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     """One sweep over (n, k): the only expensive step of the n_d family.
 
-    Runs per k, ascending, and needs p(1..n_max) ascending: a table
-    that is not raises ValueError, found in one pass.  The n with k
-    below their freeze bound are those with p(n) > 2^(k-1), a suffix of
-    the table found by bisection, and the suffix shrinks as k grows.
+    Runs per k, ascending.  The n with k below their freeze bound are
+    those with p(n) > 2^(k-1), a suffix of the table found by bisection,
+    and the suffix shrinks as k grows.
 
     A composite k brackets only the events of its largest proper
     divisor a = k/p, p the smallest prime factor of k, that lie in k's
@@ -496,12 +495,6 @@ def near_power_events(table: PartitionTable, d_cap: int) -> EventSet:
     if d_cap < 0:
         raise ValueError("d_cap must be >= 0, got %d" % d_cap)
     values, hi = table.values, table.n_max
-    rest = values[1:]
-    if sorted(rest) != list(rest):  # one pass over sorted input
-        n = next(n for n in range(2, hi + 1) if values[n] < values[n - 1])
-        raise ValueError(
-            "the sweep needs p(1..n_max) ascending, but p(%d) < p(%d)" % (n, n - 1)
-        )
     top = values[hi]
     by_k: dict[int, list[NearPowerEvent]] = {}  # k -> its events, ascending in n
     logs = [math.log2(v) for v in values[: hi + 1]]

@@ -191,9 +191,9 @@ def _power_neighbours(
     values >= 1: a y^k within d_cap of values[i] has
     y^k <= values[i] + d_cap <= values[hi] + d_cap, so y <= Y, and y = 0
     is never nearer than y = 1.  The near-power sweep lists with its
-    d_cap; the perfect-power scan lists with d_cap = 0 over its open
-    values sorted, where Y = floor(max^(1/k)) and each index yielded is
-    an exact power.
+    d_cap; the perfect-power scan lists with d_cap = 0 over the table's
+    own suffix of open values, where Y = floor(p(n_hi)^(1/k)) and each
+    index yielded is an exact power.
     """
     for y in range(1, bases + 1):
         power = y ** k

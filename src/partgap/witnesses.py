@@ -30,15 +30,15 @@ The masks are built on first use per q and lengthened (at least
 doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
 for the 25 primes.
 
-The direct scan runs column-wise over the open n, sorted by value
-once.  It walks the screen plan of :mod:`partgap.roots`, the one that
-:func:`partgap.roots.is_perfect_power` walks, grown to the largest
-bit length: each prime exponent q, ascending, picks its candidates by
-the cheaper of two paths.  While the bases y <= Y = floor(max open
-value^(1/q)) are many, every open n passes q's residue screens from
-the plan, one comprehension per screen.
+The direct scan runs column-wise over the open n, a suffix of the
+ascending table.  It walks the screen plan of :mod:`partgap.roots`,
+the one that :func:`partgap.roots.is_perfect_power` walks, grown to
+the largest bit length: each prime exponent q, ascending, picks its
+candidates by the cheaper of two paths.  While the bases y <= Y =
+floor(max open value^(1/q)) are many, every open n passes q's residue
+screens from the plan, one comprehension per screen.
 Once ten times Y is below the number of open n, listing y^q for
-y = 1..Y and bisecting the sorted values for each
+y = 1..Y and bisecting the table for each
 (:func:`partgap.roots._power_neighbours` at d_cap 0) costs less and
 yields exactly the open q-th powers; at n_max 6000 that holds from
 q = 31 and at 25000 from q = 53.  Only the candidates get an exact
@@ -47,10 +47,10 @@ again leaves it, so the smallest prime exponent wins as it does value
 by value.
 
 On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
-(``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000),
-p(2..25000) and p(2..100000) 0.010-0.017, 0.09-0.13 and 0.84-0.95 s
-(``BENCH_screens.json``).  With eight moduli for q = 2 the first two
-take 63 and 151 exact roots (``BENCH_near.json``).
+(``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000) and
+p(2..25000) 0.011-0.015 and 0.07-0.09 s (``BENCH_plan.json``).  With
+eight moduli for q = 2 the two take 63 and 151 exact roots
+(``BENCH_near.json``).
 """
 
 from __future__ import annotations
@@ -401,11 +401,12 @@ def perfect_power_scan(
     Defaults skip n = 0, 1: p = 1 = 1^2 is a power but says nothing.
     An empty result is finite-range evidence only, not a proof.
 
-    The table need not be ascending: the open n (p(n) >= 2) are sorted
-    by value once.  Each prime q up to the largest bit length, ascending,
-    as the screen plan of :mod:`partgap.roots` lists it, drops the open
-    p(n) below 2^q, which no y^q with y >= 2 reaches, and takes
-    Y = floor(max open p(n)^(1/q)).  When _LIST_COST * Y is below the
+    The table ascends, so the n with p(n) < 2 are a prefix of the
+    range, rooted one by one, and the open n (p(n) >= 2) the rest.  Each
+    prime q up to the largest bit length, ascending, as the screen plan
+    of :mod:`partgap.roots` lists it, drops the open p(n) below 2^q,
+    which no y^q with y >= 2 reaches, by bisection, and takes
+    Y = floor(p(n_hi)^(1/q)).  When _LIST_COST * Y is below the
     number of open n, the candidates are the open p(n) equal to some
     y^q, y <= Y, found by bisection; otherwise they are the open p(n)
     that pass q's residue screens in that plan, the ones
@@ -423,27 +424,19 @@ def perfect_power_scan(
         )
     vals = table.values
     found: dict[int, PowerWitness] = {}
-    candidates = []
-    for n in range(n_lo, n_hi + 1):
-        if vals[n] < 2:
-            found[n] = is_perfect_power(vals[n])  # 0^2, 1^2, or raises
-        else:
-            candidates.append(n)
-    # the open n ascending by value, and their values for the bisection
-    candidates.sort(key=vals.__getitem__)
-    open_vals = [vals[n] for n in candidates]
-    top = open_vals[-1].bit_length() if candidates else 0
+    lo = bisect.bisect_left(vals, 2, n_lo, n_hi + 1)
+    for n in range(n_lo, lo):
+        found[n] = is_perfect_power(vals[n])  # 0^2, 1^2, or raises
+    top = vals[n_hi].bit_length() if lo <= n_hi else 0
     for q, m, residues, rest in _grow_plan(top)[1]:
-        cut = bisect.bisect_left(open_vals, 1 << q)  # p(n) < 2^q is no q-th power
-        del candidates[:cut], open_vals[:cut]
-        if not candidates:
+        lo = bisect.bisect_left(vals, 1 << q, lo, n_hi + 1)  # p(n) < 2^q is no q-th power
+        if lo > n_hi:
             break  # at the first prime q >= top, in a plan grown past it
-        bases = floor_kth_root(open_vals[-1], q).root
-        if _LIST_COST * bases < len(candidates):
-            listed = _power_neighbours(open_vals, q, 0, 0, len(open_vals) - 1, bases)
-            survivors = [candidates[i] for i in listed]
+        bases = floor_kth_root(vals[n_hi], q).root
+        if _LIST_COST * bases < n_hi + 1 - lo:
+            survivors = _power_neighbours(vals, q, 0, lo, n_hi, bases)
         else:
-            survivors = candidates
+            survivors = range(lo, n_hi + 1)
             for m, residues in ((m, residues), *rest):
                 survivors = [n for n in survivors if vals[n] % m in residues]
         for n in survivors:

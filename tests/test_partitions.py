@@ -85,6 +85,30 @@ def test_table_length_validated():
     assert build_table(40) == PartitionTable(build_table(50).values[:41])
 
 
+@pytest.mark.parametrize(
+    "values, n",
+    [
+        ((2, 1), 1),
+        ((1, 1, 2, 3, 50, 5, 7, 11, 15, 22, 30), 5),
+        ((1, 1, 2, 3, 5, 7, 6, 5, 4), 6),
+        ((0, 0, 5, 5, 4, 4, 3), 4),
+    ],
+)
+def test_table_names_the_first_descent(values, n):
+    with pytest.raises(ValueError, match=r"ascends, but p\(%d\) < p\(%d\)$" % (n, n - 1)):
+        PartitionTable(values)
+
+
+def test_table_accepts_ties_and_cuts():
+    # the order is non-strict: p(0) = p(1), and the synthetic tables
+    # of the tests repeat values; every cut of a built table ascends
+    for values in ((1,), (1, 1), (0, 0, 0), (1, 1, 1, 2, 2, 3), (-8, 1, 1, 4)):
+        assert PartitionTable(values).values == values
+    built = build_table(300)
+    for n in range(301):
+        assert PartitionTable(built.values[: n + 1]) == build_table(n)
+
+
 def test_table_equality_hash_and_immutability():
     # equality, hash and repr go by the values; the walks memo takes no
     # part, and no attribute can be assigned or deleted
@@ -222,6 +246,18 @@ def test_load_rejects_values_off_the_sequence(tmp_path, table_small, n, fragment
     path = tmp_path / "bad.txt"
     path.write_text("120\n" + "".join("%d\n" % v for v in values))
     with pytest.raises(ValueError, match=fragment):
+        load_table(path)
+
+
+def test_load_refuses_a_tied_cache_file(tmp_path, table_small):
+    # a table may repeat a value, a cache of partition numbers may not:
+    # p(100) = p(99) keeps every congruence and the head of the recurrence
+    values = list(table_small.values)
+    values[100] = values[99]
+    PartitionTable(tuple(values))
+    path = tmp_path / "tied.txt"
+    path.write_text("120\n" + "".join("%d\n" % v for v in values))
+    with pytest.raises(ValueError, match=r"p\(100\) is not above p\(99\)"):
         load_table(path)
 
 

@@ -17,6 +17,7 @@ from partgap.partitions import PartitionTable, build_table, p1
 from partgap.repulsion import (
     _SCREEN_REL,
     _distances,
+    _event_set,
     _n_d_from_events,
     _near_power_events_oracle,
     _screen_base,
@@ -302,6 +303,17 @@ def test_saved_walk_loads_as_a_fresh_walk(n_max, k):
     with tempfile.TemporaryDirectory() as tmp:
         path = save_walk(PartitionTable(values), k, os.path.join(tmp, "walk.txt"))
         assert load_walk(path, PartitionTable(values), k) == fresh
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+@pytest.mark.parametrize("k", [2, 3, 50])
+def test_walk_round_trip_on_the_shortest_tables(tmp_path, n_max, k):
+    # p(0) = 1 = 1^k ends the walk at n = 0 when the table holds no p(1)
+    table = PartitionTable(cached_table(1).values[: n_max + 1])
+    path = save_walk(table, k, str(tmp_path / "walk.txt"))
+    assert open(path).read() == "%d %d 1\n0 %d\n" % (n_max, k, n_max)
+    assert load_walk(path, PartitionTable(table.values), k) == ((0,), (n_max,))
+    assert m_k_d(table, k, 0) == n_max
 
 
 @st.composite
@@ -606,23 +618,30 @@ def test_each_prime_k_keeps_its_path(request, monkeypatch, n_max, near, listed):
     assert max(primes) == listed[1]
 
 
+def test_event_set_orders_events_for_any_k_order():
+    # the events come out in (n, k) order whatever order by_k holds k in
+    table = cached_table(600)
+    swept = near_power_events(table, 270343)
+    by_k = {
+        k: [e for e in swept.events if e.k == k]
+        for k in sorted({e.k for e in swept.events}, reverse=True)
+    }
+    assert len(by_k) > 2 and list(swept.events) == sorted(swept.events)
+    assert _event_set(table, 270343, by_k) == swept
+
+
 def test_sweep_refuses_values_out_of_order():
     # the sweep bisects p(1..n_max), so values out of order would lose
-    # events or repeat them; the sweep and the n_d family raise instead
+    # events or repeat them; no table holds them, so no sweep sees them
     values = cached_table(200).values
     shuffled = list(values[2:])
     random.Random(17).shuffle(shuffled)
     swapped = values[:199] + (values[200], values[199])
-    for table in (PartitionTable((1, 1, *shuffled)), PartitionTable(swapped)):
-        for query in (
-            lambda: near_power_events(table, 270343),
-            lambda: n_d(table, 5),
-            lambda: n_d_intervals(table, 5),
-        ):
-            with pytest.raises(ValueError, match="ascending"):
-                query()
+    for bad in ((1, 1, *shuffled), swapped):
+        with pytest.raises(ValueError, match="ascends"):
+            PartitionTable(bad)
     with pytest.raises(ValueError, match=r"p\(200\) < p\(199\)"):
-        near_power_events(PartitionTable(swapped), 0)
+        PartitionTable(swapped)
     # a repeated value keeps the order, and the sweep still answers
     tied = PartitionTable(values[:151] + values[150:])
     for d_cap in (0, 1, 270343):
