@@ -11,8 +11,12 @@ coefficients and their values at the anchor thresholds in the shape's
 window, and prints one OK/MISMATCH line per shape: OK when the refit is
 within 10% of the series at each of those anchors.  Coefficient-by-
 coefficient agreement is not expected (the low-order terms of such fits
-are numerically tender).  Exits 1 when anything differs from the
-reference.
+are numerically tender).  Last it checks the paper's first claim, Sun's
+conjecture that no p(n) with n > 1 is a perfect power, over the same
+table, and prints one sun-scan line: OK when the perfect-power scan
+finds none in p(2..n_max) and no power on the bundled exceptional list
+is a partition number.  That line writes no CSV.  Exits 1 when anything
+differs from the reference.
 """
 
 import argparse
@@ -24,6 +28,11 @@ from partgap import artifacts, reference
 from partgap.fitting import LogPolyModel, evaluate, fit_log_poly
 from partgap.partitions import build_table
 from partgap.repulsion import threshold_rows
+from partgap.witnesses import (
+    bundled_exceptional_list,
+    check_exceptional_powers,
+    perfect_power_scan,
+)
 
 # Table 1 reads p(10..50), and table 4's runs reach d = 270343, which
 # needs p(n_max) - 2 >= 270343: p(51) = 239943, p(52) = 281589.
@@ -62,6 +71,14 @@ def report_fits(table):
     return all_ok
 
 
+def report_sun_scan(table):
+    """Sun's claim over the table: no p(n), 2 <= n <= n_max, is a
+    perfect power, and no base^power of the bundled exceptional list is
+    a partition number.  True when both hold."""
+    exceptional = check_exceptional_powers(bundled_exceptional_list())
+    return report("sun-scan", not perfect_power_scan(table) and exceptional.all_clear)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="reproduction", help="output directory")
@@ -85,6 +102,7 @@ def main(argv=None):
         all_ok &= report(artifact.name, not mismatches)
 
     all_ok &= report_fits(table)
+    all_ok &= report_sun_scan(table)
     print("total %.1fs, outputs in %s" % (time.time() - t0, out))
     return 0 if all_ok else 1
 

@@ -15,7 +15,16 @@ takes that bracket and keeps both powers: floor_kth_root reads
 exactness off r^k, and nearest_power_distance reads the distance off
 r^k and (r+1)^k without taking a power of its own.
 
-Perfect-power detection screens before it roots.  A q-th power y^q is a
+Perfect-power detection screens before it roots.  The first screen does
+not depend on q: a y^q with q >= 2 holds every prime to a multiple of q,
+so a prime that divides v exactly once rules out every exponent at once
+(the usual first step, as in Bernstein's detection of perfect powers).
+_simple_factor reads that off r = v mod P^2, P = 2*3*...*23, a
+machine-word int: g = gcd(r, P) is the product of the primes up to 23
+that divide v, gcd(r // g, g) of those that divide it at least twice,
+and the screen fires when the two differ.  It drops three in four
+partition numbers before any exponent is tried, and it passes every
+power.  The screens per exponent come next.  A q-th power y^q is a
 q-th-power residue modulo every m: modulo a prime l = 1 (mod q) that is
 0 (when l divides y) or one of the (l - 1)/q units x with
 x^((l-1)/q) = 1; modulo 64, 63, 65, 11 and odd primes from 17 a square
@@ -299,12 +308,39 @@ def _grow_plan(bits: int) -> tuple[int, tuple[tuple, ...]]:
     return plan
 
 
+# The multiplicity screen.  P = 2*3*5*...*23 = 223092870 and P^2 < 2^56,
+# so r = v mod P^2 is a machine-word int.  For a prime p | P, p divides
+# v exactly when it divides r, and p^2 divides v exactly when it divides
+# r, as p^2 | P^2.  P is squarefree, so g = gcd(r, P) is the product of
+# the small primes that divide v, and each of them divides g once: p
+# divides r // g exactly when p^2 divides r.  So gcd(r // g, g) is the
+# product of those that divide v at least twice.  For r = 0 both are P,
+# as every p^2 divides v.  A y^q with q >= 2 holds every prime to a
+# multiple of q, so no prime divides it only once.
+_SMALL_PRIMORIAL = 223092870  # 2*3*5*7*11*13*17*19*23
+_SMALL_PRIMORIAL_SQUARED = _SMALL_PRIMORIAL * _SMALL_PRIMORIAL
+
+
+def _simple_factor(v: int) -> bool:
+    """Whether some prime up to 23 divides v >= 0 exactly once, which
+    rules out v = y^q for every q >= 2 at once."""
+    r = v % _SMALL_PRIMORIAL_SQUARED
+    g = math.gcd(r, _SMALL_PRIMORIAL)
+    return g != math.gcd(r // g, g)
+
+
 def is_perfect_power(v: int) -> PowerWitness | None:
     """Some (base, exponent >= 2) with base**exponent == v, else None.
 
     Only prime exponents up to bit_length(v) need checking: any m^(ab)
     is (m^a)^b.  0 and 1 are 0^2 and 1^2.  Returns the witness with the
     smallest prime exponent found.
+
+    Before any exponent, one screen that does not depend on q:
+    :func:`_simple_factor` reads v mod (2*3*...*23)^2 and two gcds, and
+    when some prime up to 23 divides v exactly once, v is no y^q for any
+    q >= 2, and the answer is None.  It drops three in four partition
+    numbers before the plan is grown or walked.
 
     Each prime exponent q is screened before its root is taken: v must
     be a square modulo 64, 63, 65, 11, 17, 19, 23 and 29 (q = 2), or a
@@ -328,6 +364,8 @@ def is_perfect_power(v: int) -> PowerWitness | None:
         raise ValueError("v must be >= 0, got %d" % v)
     if v in (0, 1):
         return PowerWitness(base=v, exponent=2)
+    if _simple_factor(v):
+        return None
     bits = v.bit_length()
     plan = _PLAN
     if plan[0] < bits:

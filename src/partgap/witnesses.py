@@ -31,12 +31,17 @@ doubled) when a larger v needs more exponents: about 2 ms and 0.1 MiB
 for the 25 primes.
 
 The direct scan runs column-wise over the open n, a suffix of the
-ascending table.  It walks the screen plan of :mod:`partgap.roots`,
-the one that :func:`partgap.roots.is_perfect_power` walks, grown to
-the largest bit length: each prime exponent q, ascending, picks its
+ascending table.  First it keeps the open n whose p(n) pass
+:func:`partgap.roots._simple_factor`, the screen that
+:func:`partgap.roots.is_perfect_power` also runs first: a prime up to
+23 that divides p(n) exactly once rules out every exponent, as a y^q
+holds each prime to a multiple of q.  It keeps 1,481 of p(2..6000)
+and 6,067 of p(2..25000).  Then it walks the screen plan of
+:mod:`partgap.roots`, the one that is_perfect_power walks, grown to the
+largest bit length: each prime exponent q, ascending, picks its
 candidates by the cheaper of two paths.  While the bases y <= Y =
-floor(max open value^(1/q)) are many, every open n passes q's residue
-screens from the plan, one comprehension per screen.
+floor(max open value^(1/q)) are many, the kept n from q's suffix pass
+q's residue screens from the plan, one comprehension per screen.
 Once ten times Y is below the number of open n, listing y^q for
 y = 1..Y and bisecting the table for each
 (:func:`partgap.roots._power_neighbours` at d_cap 0) costs less and
@@ -48,9 +53,9 @@ by value.
 
 On a 2-core x86-64 host, ``coverage_scan(0, 3000)`` takes 0.09-0.10 s
 (``BENCH_scan.json``), and ``perfect_power_scan`` over p(2..6000) and
-p(2..25000) 0.011-0.015 and 0.07-0.09 s (``BENCH_plan.json``).  With
-eight moduli for q = 2 the two take 63 and 151 exact roots
-(``BENCH_near.json``).
+p(2..25000), first call in the process, 0.0075-0.0089 and
+0.045-0.050 s, where they took 0.010-0.014 and 0.073-0.079 s without
+the multiplicity screen (``BENCH_multiplicity.json``).
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .roots import (
     _grow_plan,
     _power_neighbours,
     _power_residues,
+    _simple_factor,
     floor_kth_root,
     is_perfect_power,
 )
@@ -88,7 +94,9 @@ BUNDLED_LIST_NAME = "exceptional_tuples.txt"
 # the two paths cost about the same): about ten to one, so the scan lists
 # the q whose bases number below a tenth of the open n.  The later screen
 # moduli of an odd q barely move the ratio: at these q almost no value
-# outlives the first two.
+# outlives the first two.  That screening cost counts the residue screens
+# on every open n, where the multiplicity screen now leaves them a
+# quarter; the rule still counts all open n, and no answer depends on it.
 _LIST_COST = 10
 
 
@@ -402,16 +410,21 @@ def perfect_power_scan(
     An empty result is finite-range evidence only, not a proof.
 
     The table ascends, so the n with p(n) < 2 are a prefix of the
-    range, rooted one by one, and the open n (p(n) >= 2) the rest.  Each
+    range, rooted one by one, and the open n (p(n) >= 2) the rest.  The
+    open n whose p(n) some prime up to 23 divides exactly once are no
+    power for any exponent (:func:`partgap.roots._simple_factor`), so
+    one comprehension keeps the others, about one in four.  Each
     prime q up to the largest bit length, ascending, as the screen plan
     of :mod:`partgap.roots` lists it, drops the open p(n) below 2^q,
     which no y^q with y >= 2 reaches, by bisection, and takes
     Y = floor(p(n_hi)^(1/q)).  When _LIST_COST * Y is below the
     number of open n, the candidates are the open p(n) equal to some
-    y^q, y <= Y, found by bisection; otherwise they are the open p(n)
-    that pass q's residue screens in that plan, the ones
+    y^q, y <= Y, found by bisection; otherwise they are the kept n from
+    q's suffix on, found by a bisection on n, that pass q's residue
+    screens in that plan, the ones
     :func:`partgap.roots.is_perfect_power` walks.  Both paths keep every
-    open q-th power, so after the exact roots of the candidates the hits and
+    open q-th power, as every power passes the multiplicity screen, so
+    after the exact roots of the candidates the hits and
     witnesses are those of :func:`partgap.roots._is_perfect_power_oracle`
     value by value: the first exact root of n is kept, and a later q
     that roots n again leaves the smallest prime exponent's witness.
@@ -428,6 +441,8 @@ def perfect_power_scan(
     for n in range(n_lo, lo):
         found[n] = is_perfect_power(vals[n])  # 0^2, 1^2, or raises
     top = vals[n_hi].bit_length() if lo <= n_hi else 0
+    # the open n whose p(n) no prime up to 23 divides exactly once
+    kept = [n for n in range(lo, n_hi + 1) if not _simple_factor(vals[n])]
     for q, m, residues, rest in _grow_plan(top)[1]:
         lo = bisect.bisect_left(vals, 1 << q, lo, n_hi + 1)  # p(n) < 2^q is no q-th power
         if lo > n_hi:
@@ -436,7 +451,7 @@ def perfect_power_scan(
         if _LIST_COST * bases < n_hi + 1 - lo:
             survivors = _power_neighbours(vals, q, 0, lo, n_hi, bases)
         else:
-            survivors = range(lo, n_hi + 1)
+            survivors = kept[bisect.bisect_left(kept, lo):]
             for m, residues in ((m, residues), *rest):
                 survivors = [n for n in survivors if vals[n] % m in residues]
         for n in survivors:

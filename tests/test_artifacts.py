@@ -9,6 +9,7 @@ import pytest
 import partgap.repulsion
 from partgap import reference
 from partgap.artifacts import REGISTRY, TABLE3, diff, table4
+from partgap.partitions import PartitionTable, build_table
 
 SCRIPT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -88,6 +89,8 @@ def test_reproduce_all_writes_every_table(tmp_path):
     # n_max 300 cannot reach the published thresholds
     assert done.returncode == 1
     assert "table2       MISMATCH" in done.stdout
+    # Sun's claim holds over p(2..300) and writes no CSV
+    assert "\nsun-scan     OK\n" in done.stdout
     assert sorted(os.listdir(tmp_path)) == sorted(HEADERS)
     # every published fit shape is refit and reported
     for degree, window, _ in reference.PUBLISHED_FITS:
@@ -129,6 +132,15 @@ def test_reproduce_all_fits_agree_at_25000(table25k, capsys):
     out = capsys.readouterr().out
     for degree, _, _ in reference.PUBLISHED_FITS:
         assert "fit-k50-deg%d OK" % degree in out
+
+
+def test_reproduce_all_sun_scan_flags_a_planted_power(capsys):
+    # p(10) = 42 replaced by 49 = 7^2, still ascending
+    script = load_script(SCRIPT)
+    values = list(build_table(300).values)
+    values[10] = 49
+    assert not script.report_sun_scan(PartitionTable(values=tuple(values)))
+    assert capsys.readouterr().out == "sun-scan     MISMATCH\n"
 
 
 def test_reproduce_all_rejects_short_tables(tmp_path, capsys):

@@ -17,6 +17,7 @@ from partgap.roots import (
     _is_prime,
     _power_neighbours,
     _screens,
+    _simple_factor,
     floor_kth_root,
     is_perfect_power,
     nearest_power_distance,
@@ -472,10 +473,13 @@ def test_plan_holds_every_prime_up_to_its_bits(monkeypatch):
         assert covered >= q + 1
 
 
-@pytest.mark.parametrize("small", [2, 10**6 + 3, 3**40])
+@pytest.mark.parametrize("small", [4, 10**6 + 3, 3**40])
 def test_power_test_matches_oracle_across_a_plan_growth(monkeypatch, small):
-    # a small value builds a short plan; y^q with q past its primes grows it
+    # a small value builds a short plan; y^q with q past its primes grows
+    # it.  The small value passes the multiplicity screen, or it would
+    # build no plan at all
     monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    assert not _simple_factor(small)
     assert is_perfect_power(small) == _is_perfect_power_oracle(small)
     covered, _ = plan_exponents()
     q = sieve_primes(2 * covered)[-1]
@@ -512,6 +516,68 @@ def test_interleaved_plan_growths_publish_a_whole_plan(monkeypatch):
         if q <= covered:
             assert is_perfect_power(2**q) == (2, q)
     assert is_perfect_power(7**523) == (7, 523)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+PRIMORIAL_23 = math.prod(SMALL_PRIMES)
+
+
+def simple_factor_by_trial_division(v):
+    # some prime up to 23 divides v exactly once; 0 is divisible by
+    # every power of every prime
+    if v == 0:
+        return False
+    for p in SMALL_PRIMES:
+        e = 0
+        while v % p == 0:
+            v //= p
+            e += 1
+        if e == 1:
+            return True
+    return False
+
+
+def test_simple_factor_matches_its_definition():
+    assert PRIMORIAL_23 == 223092870 and PRIMORIAL_23**2 < 2**56
+    for v in range(10**5):
+        assert _simple_factor(v) == simple_factor_by_trial_division(v), v
+    # multiples of P and of P^2, whose residue mod P^2 is a multiple of P
+    # or 0; c decides which small primes divide them only once
+    rng = random.Random(35)
+    cs = [*range(1, 3000), *(rng.getrandbits(rng.randrange(1, 300)) + 1 for _ in range(2000))]
+    cs += [PRIMORIAL_23**e * p for e in (1, 2, 3) for p in (1, *SMALL_PRIMES, 29)]
+    for c in cs:
+        for v in (PRIMORIAL_23 * c, PRIMORIAL_23**2 * c):
+            assert _simple_factor(v) == simple_factor_by_trial_division(v), v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_power_test_matches_oracle_at_the_screen_edge(p):
+    # powers whose small primes all divide them to a multiple of q, and
+    # values one factor p away from them: p * (p y)^q holds p to the
+    # power q + 1 and p * y^q to the power 1 when p does not divide y
+    for q in (2, 3, 5, 7, 11, 31, 61):
+        for y in (1, 2, 3, 5, 6, 7, 23, 29, 30, 1001, 2**40 + 1):
+            for v in (
+                (p * y) ** q,
+                p * (p * y) ** q,
+                p * y**q,
+                p * p * y**q - 1,
+                p * p * y**q,
+                p * p * y**q + 1,
+            ):
+                assert is_perfect_power(v) == _is_perfect_power_oracle(v), (p, q, y)
+            assert is_perfect_power((p * y) ** q) is not None
+
+
+def test_simple_factor_rejects_before_the_plan_grows(monkeypatch):
+    # 2 * 3^600: 2 divides it once, so no exponent is tried and the plan
+    # is never built; 4 * 3^600 = (2 * 3^300)^2 passes the screen
+    monkeypatch.setattr(partgap.roots, "_PLAN", (0, ()))
+    assert is_perfect_power(2 * 3**600) is None
+    assert partgap.roots._PLAN == (0, ())
+    assert is_perfect_power(4 * 3**600) == (2 * 3**300, 2)
+    assert plan_exponents()[0] == (4 * 3**600).bit_length()
 
 
 def test_screened_power_test_below_the_modulus():

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -11,7 +12,9 @@ from partgap.roots import (
     PowerWitness,
     _is_perfect_power_oracle,
     _power_neighbours,
+    _simple_factor,
     floor_kth_root,
+    is_perfect_power,
 )
 from partgap.witnesses import (
     PRIMES_UNDER_100,
@@ -443,7 +446,8 @@ def test_power_scan_walks_the_plan(monkeypatch, plan):
 
 def test_power_scan_roots_few_values(monkeypatch):
     # the screens leave almost only true powers: at n_max 6000 two
-    # moduli per odd q left 2,233 exact roots, and 124 remain
+    # moduli per odd q left 2,233 exact roots, and 60 remain, 58 of them
+    # for the bases of the q
     calls = []
 
     def counted(v, k):
@@ -453,3 +457,70 @@ def test_power_scan_roots_few_values(monkeypatch):
     monkeypatch.setattr(partgap.witnesses, "floor_kth_root", counted)
     assert perfect_power_scan(build_table(6000)) == []
     assert len(calls) <= 200
+
+
+def screen_edge_scan_table():
+    # real p(2..1200), sorted together with 6^q and 30^q, which pass the
+    # multiplicity screen, and 2 * 3^q, which it rejects, for q on both
+    # sides of the switch to listing, and their neighbours
+    values = list(build_table(1200).values[2:])
+    for q in (2, 3, 5, 7, 13, 31, 61, 67):
+        for v in (6**q, 30**q, 2 * 3**q):
+            values += [v - 1, v, v + 1]
+    return PartitionTable(values=(1, 1) + tuple(sorted(values)))
+
+
+def test_power_scan_matches_oracle_at_the_screen_edge():
+    table = screen_edge_scan_table()
+    want = [
+        (n, w)
+        for n in range(0, table.n_max + 1)
+        if (w := _is_perfect_power_oracle(table.values[n])) is not None
+    ]
+    assert perfect_power_scan(table, 0) == want
+    planted = {table.values[n] for n, _ in want}
+    for q in (2, 3, 5, 7, 13, 31, 61, 67):
+        assert {6**q, 30**q} <= planted and 2 * 3**q not in planted
+
+
+def test_both_power_tests_match_oracle_on_partition_numbers():
+    # every p(0..6000), value by value and by the scan
+    table = build_table(6000)
+    want = [_is_perfect_power_oracle(v) for v in table.values]
+    assert [is_perfect_power(v) for v in table.values] == want
+    assert perfect_power_scan(table, 0) == [(n, w) for n, w in enumerate(want) if w]
+
+
+def test_power_scan_and_value_test_find_nothing_to_25000(table25k):
+    assert perfect_power_scan(table25k) == []
+    assert not any(is_perfect_power(v) for v in table25k.values[2:])
+
+
+def test_power_scan_screens_only_what_the_multiplicity_screen_keeps(monkeypatch):
+    # at n_max 6000 the multiplicity screen keeps 1,481 of the 5,999 open
+    # p(n), and only those reach the residue screens: the first modulus
+    # of each screened q tests exactly the kept values at or above 2^q
+    tested = collections.Counter()
+
+    class CountedResidues(frozenset):
+        def __contains__(self, r):
+            tested[self.q] += 1
+            return frozenset.__contains__(self, r)
+
+    def counted_plan(bits):
+        covered, steps = partgap.roots._grow_plan(bits)
+        out = []
+        for q, m, residues, rest in steps:
+            residues = CountedResidues(residues)
+            residues.q = q
+            out.append((q, m, residues, rest))
+        return covered, tuple(out)
+
+    monkeypatch.setattr(partgap.witnesses, "_grow_plan", counted_plan)
+    table = build_table(6000)
+    assert perfect_power_scan(table) == []
+    kept = [v for v in table.values[2:] if not _simple_factor(v)]
+    assert len(kept) == 1481
+    assert tested[2] == 1481
+    for q, count in tested.items():
+        assert count == sum(v >= 1 << q for v in kept), q
